@@ -100,7 +100,7 @@ def test_vector_engine_speedup(write_artifact):
     assert gateway_row["steady_fill"] >= 0.9
     assert gateway_row["words_delivered"] == gateway_row["words_accepted"]
     stats = gateway.stats()
-    assert stats["planes"][0]["kind"] == "VectorPlane"
+    assert stats["planes"][0]["engine"] == "vector"
     assert stats["planes"][0]["full_verifies"] > 0
 
     artifact = {

@@ -138,7 +138,7 @@ def test_wire_throughput(write_artifact):
             m=M,
             planes=1,
             queue_capacity=256,
-            engine="batch",
+            engine="bnb",
             batch_window=64,
         )
         gateway = await AsyncGateway(config).start()
@@ -163,7 +163,7 @@ def test_wire_throughput(write_artifact):
         "quick": QUICK,
         "m": M,
         "n": N,
-        "engine": "batch",
+        "engine": "bnb",
         "batch_window": 64,
         "frames_per_batch": FRAMES_PER_BATCH,
         "in_flight_requests": IN_FLIGHT,

@@ -233,9 +233,9 @@ def check_wire_protocol(
         errors,
     )
     _require(
-        data.get("engine") == "batch",
+        data.get("engine") == "bnb",
         name,
-        f"engine {data.get('engine')!r} is not the batch dataplane",
+        f"engine {data.get('engine')!r} is not the bnb batch dataplane",
         errors,
     )
     if "speedup_vs_baseline" in data:

@@ -1,12 +1,12 @@
-"""Pluggable compiled routing backends with measured auto-select.
+"""Pluggable compiled routing backends with an offline arena.
 
 One :class:`~repro.backends.base.RoutingBackend` protocol over the BNB
 dataplane and the rival fabrics (KR-Benes, multiway sorter), a registry
-of compiled-once-per-``m`` engines, and the arena
+of compiled-once-per-``m`` engines the gateway pins by name
+(``engine="bnb"``, ``"msorter"``, ...), and the arena
 (:mod:`repro.backends.arena`) that benchmarks every registered backend
 per ``(m, workload class)`` — with crossbar differential verification —
-so the gateway's ``engine="auto"`` dispatches each plane to the
-measured winner.  See ``docs/backends.md``.
+so an operator can pick the measured winner.  See ``docs/backends.md``.
 """
 
 from .base import (

@@ -19,10 +19,11 @@ the oracle raises :class:`BackendDisagreementError` rather than being
 silently timed: a fast wrong answer must never win.
 
 Results are cached per ``(m, workload, backend)`` in-process, so a
-gateway booting with ``engine="auto"`` pays the calibration once and
-every later plane/size lookup is a dict read.  :func:`select_backend`
-returns the measured winner for a cell; ``repro serve --engine auto``
-and the gateway's plane factory dispatch on it.
+repeated lookup is a dict read.  :func:`select_backend` returns the
+measured winner for a cell.  The arena is offline: it runs in
+``benchmarks/bench_backend_arena.py`` and ``repro route --backend
+auto``, never at gateway construction — a deployment pins the winner
+by name (``repro serve N --engine msorter``).
 """
 
 from __future__ import annotations
@@ -187,8 +188,8 @@ def calibrate(
     Returns ``{workload: {backend: seconds_per_frame}}``.  Every
     candidate passes :func:`verify_backend` before it is timed; a
     disagreeing backend raises instead of competing.  Measured cells
-    land in the in-process cache, so repeated calls (every plane of an
-    ``engine="auto"`` gateway, the CLI, the benchmark) are dict reads.
+    land in the in-process cache, so repeated calls (the CLI, the
+    benchmark) are dict reads.
     """
     names = list(backends) if backends is not None else backend_names()
     for workload in workloads:

@@ -6,8 +6,8 @@ Two registrations:
   :func:`~repro.core.pipeline_fast.route_frame_sources` (one frame, all
   ``m`` main stages as numpy gathers) and ``route_frame_batch`` is
   :func:`~repro.core.pipeline_fast.route_frame_batch` (the frame-axis
-  kernel behind :class:`~repro.server.planes.BatchVectorPlane`) — the
-  existing vector and batch engines, now one protocol object.  The only
+  kernel behind the gateway's ``engine="bnb"``
+  :class:`~repro.server.planes.BackendPlane`) — one protocol object.  The only
   backend that supports fault masks: both methods take an optional
   ``mask`` and reproduce the faulty fabric's arrival order.
 * ``"bnb-object"`` — the reference object model

@@ -46,7 +46,7 @@ async def run_soak(
     kill_at: float = 0.4,
     burst: int = 8192,
     in_flight: int = 4,
-    engine: str = "batch",
+    engine: str = "bnb",
     batch_window: int = 64,
     queue_capacity: int = 256,
     planes: int = 1,

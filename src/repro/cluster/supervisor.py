@@ -46,7 +46,7 @@ class NodeSpec:
     port: int = 0  # 0 picks a free port
     planes: int = 1
     queue_capacity: int = 64
-    engine: str = "batch"
+    engine: str = "bnb"
     batch_window: int = 32
 
     @property

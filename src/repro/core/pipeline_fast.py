@@ -83,10 +83,9 @@ def route_frame_sources(
     output ``line``.  For a valid permutation on a healthy fabric,
     output ``line`` carries the word addressed to it; with a
     :class:`~repro.core.plan.FaultMask` the result is the (possibly
-    misrouting) faulty fabric's arrival order.  Used by the
-    multi-process plane pool, whose workers route whole frames rather
-    than clocking a pipeline, and by the fault tests as the one-shot
-    faulty-routing oracle.
+    misrouting) faulty fabric's arrival order.  Used by the ``bnb``
+    routing backend for a lone frame and by the fault tests as the
+    one-shot faulty-routing oracle.
     """
     plan = compiled_plan(m)
     current = np.asarray(addresses, dtype=np.int64)
@@ -115,8 +114,8 @@ def route_frame_batch(
     (:func:`~repro.core.plan.batch_stage_take_indices`), so the
     per-frame Python overhead of the single-shot path amortizes across
     the batch — this is the kernel behind the gateway's batched wire
-    protocol (``send_batch`` riding a
-    :class:`~repro.server.planes.BatchVectorPlane`).  Row-for-row
+    protocol (``send_batch`` riding an ``engine="bnb"``
+    :class:`~repro.server.planes.BackendPlane`).  Row-for-row
     identical to :func:`route_frame_sources` on each frame alone, with
     or without a :class:`~repro.core.plan.FaultMask` (the mask
     broadcasts: the same physical fault afflicts every frame).

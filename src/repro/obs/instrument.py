@@ -10,9 +10,9 @@ which hooks the dataplane offers and which metrics the catalog
   at m=8 a frame carries 256 words, and a per-word histogram observe
   would cost more than the vector engine's whole routing step.
 * **pull** — everything the components already count (VOQ admission
-  totals, scheduler fill, plane health, pool worker liveness, the
-  resilient fabric's service counters) is copied in by a collector
-  that runs only when somebody scrapes.
+  totals, scheduler fill, plane health, the resilient fabric's
+  service counters) is copied in by a collector that runs only when
+  somebody scrapes.
 
 Construction never mutates the gateway; :meth:`attach` does, and is
 explicit so the metrics-off configuration stays byte-identical to the
@@ -26,7 +26,6 @@ from typing import Any, Dict, List, Optional
 from .registry import (
     CYCLE_BUCKETS,
     RATIO_BUCKETS,
-    SECONDS_BUCKETS,
     Registry,
     get_registry,
 )
@@ -128,8 +127,8 @@ class GatewayInstrumentation:
         self._backend_info = r.gauge(
             "repro_backend_info",
             "Routing backend serving this gateway's planes (the value "
-            "is always 1): the arena winner under engine=auto, the "
-            "pinned backend otherwise.",
+            "is always 1): the pinned backend for backend engines, bnb "
+            "or bnb-object for the pipelined ones.",
             labelnames=("backend", "m"),
         )
         self._cycle = r.gauge(
@@ -188,17 +187,6 @@ class GatewayInstrumentation:
             "repro_plane_words_delivered_total",
             "Client words the plane has delivered.",
             labelnames=("plane",),
-        )
-        self._worker_alive = r.gauge(
-            "repro_pool_worker_alive",
-            "1 while the plane's worker process is alive (process pool only).",
-            labelnames=("plane",),
-        )
-        self._slab_roundtrip = r.histogram(
-            "repro_pool_slab_roundtrip_seconds",
-            "Shared-memory slab round trip: offer() write to step() read.",
-            labelnames=("plane",),
-            buckets=SECONDS_BUCKETS,
         )
         self._service_quarantined = r.gauge(
             "repro_service_quarantined",
@@ -374,14 +362,6 @@ class GatewayInstrumentation:
             self._plane_in_flight.labels(label).set(plane.in_flight)
             self._plane_frames.labels(label).sync(plane.frames_delivered)
             self._plane_words.labels(label).sync(plane.words_delivered)
-            take = getattr(plane, "take_slab_roundtrips", None)
-            if take is not None:
-                self._worker_alive.labels(label).set(
-                    1 if plane.describe().get("worker_alive") else 0
-                )
-                series = self._slab_roundtrip.labels(label)
-                for seconds in take():
-                    series.observe(seconds)
             fabric = getattr(plane, "fabric", None)
             registry = getattr(fabric, "registry", None)
             if registry is not None and hasattr(registry, "is_quarantined"):

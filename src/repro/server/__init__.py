@@ -11,15 +11,12 @@ keeps answering it forever, online, for concurrent clients:
   cycle coalesces queued words into a conflict-free full permutation
   (one head-of-line word per destination, idle-filled via
   :func:`~repro.core.traffic.complete_partial_permutation`);
-* :mod:`repro.server.planes` — **fabric planes**: pipelined BNB planes
-  for back-to-back throughput, compiled-numpy
-  :class:`~repro.server.planes.VectorPlane` planes with sampled
-  boundary verification for hardware-speed serving, or
+* :mod:`repro.server.planes` — **fabric planes**: clocked pipelined
+  planes on the object or compiled-numpy engine, windowed batch planes
+  on any registered routing backend, or
   :class:`~repro.service.ResilientFabric`-wrapped planes that survive
   physical faults; a faulty plane drains, its words requeue, and the
-  pool serves on;
-* :mod:`repro.server.pool` — the **multi-process plane pool** sharding
-  vector planes across CPU cores with shared-memory frame buffers;
+  other planes serve on;
 * :mod:`repro.server.gateway` — the **asyncio dataplane** tying them
   together: ``await gateway.send(dest, payload)`` returns a delivery
   receipt, ``await gateway.send_batch(dests)`` a per-word
@@ -43,14 +40,7 @@ contract and the full wire specification.
 from .framing import MAGIC, PROTOCOL_VERSION
 from .gateway import AsyncGateway, BatchResult, GatewayConfig, Receipt
 from .ops import REGISTRY, OpSpec
-from .planes import (
-    BackendPlane,
-    BatchVectorPlane,
-    PipelinedPlane,
-    ResilientPlane,
-    VectorPlane,
-)
-from .pool import ProcessPlane, ProcessPlanePool
+from .planes import BackendPlane, PipelinedPlane, ResilientPlane
 from .protocol import GatewayServer
 from .scheduler import FrameScheduler, ScheduledFrame
 from .voq import DEFAULT_TENANT, QueueEntry, VirtualOutputQueues
@@ -60,7 +50,6 @@ __all__ = [
     "DEFAULT_TENANT",
     "BatchResult",
     "BackendPlane",
-    "BatchVectorPlane",
     "GatewayConfig",
     "GatewayServer",
     "FrameScheduler",
@@ -68,13 +57,10 @@ __all__ = [
     "OpSpec",
     "PROTOCOL_VERSION",
     "PipelinedPlane",
-    "ProcessPlane",
-    "ProcessPlanePool",
     "QueueEntry",
     "REGISTRY",
     "Receipt",
     "ResilientPlane",
     "ScheduledFrame",
-    "VectorPlane",
     "VirtualOutputQueues",
 ]

@@ -30,15 +30,14 @@ from ..exceptions import (
     InputError,
     PlaneUnavailableError,
 )
-from ..backends import backend_names, compiled_backend, prewarm, select_backend
+from ..backends import backend_names, compiled_backend, prewarm
+from ..core.pipeline_fast import VectorPipelinedFabric
 from ..service import ResilientVectorFabric
 from .planes import (
     BackendPlane,
-    BatchVectorPlane,
     CompletedFrame,
     PipelinedPlane,
     ResilientPlane,
-    VectorPlane,
 )
 from .scheduler import FrameScheduler
 from .voq import DEFAULT_TENANT, QueueEntry, VirtualOutputQueues
@@ -58,23 +57,21 @@ class GatewayConfig:
     queue_capacity: int = 32
     resilient: bool = False
     #: Dataplane engine for the planes: ``"object"`` clocks the
-    #: reference ``PipelinedBNBFabric``, ``"vector"`` the compiled-plan
-    #: numpy ``VectorPipelinedFabric`` with sampled boundary
-    #: verification, ``"batch"`` the frame-axis-batched
-    #: :class:`~repro.server.planes.BatchVectorPlane` (many frames per
-    #: numpy gather — the engine behind ``send_batch`` throughput).
-    #: ``"auto"`` runs the backend arena calibration at construction
-    #: and serves :class:`~repro.server.planes.BackendPlane`\ s on the
-    #: measured-fastest registered backend for this ``m``; any
-    #: registered backend name (``"krbenes"``, ``"msorter"``, ...)
-    #: pins that backend without calibrating (see ``docs/backends.md``).
-    #: Orthogonal to ``resilient``: a resilient vector plane wraps a
+    #: reference ``PipelinedBNBFabric`` (every frame verified),
+    #: ``"vector"`` the compiled-plan numpy ``VectorPipelinedFabric``
+    #: (sampled verification), both as
+    #: :class:`~repro.server.planes.PipelinedPlane`\ s.  Any registered
+    #: backend name (``"bnb"``, ``"msorter"``, ...) serves
+    #: :class:`~repro.server.planes.BackendPlane`\ s that route whole
+    #: windows of frames per call on that backend — ``"bnb"`` is the
+    #: engine behind ``send_batch`` throughput (see
+    #: ``docs/backends.md``).  Orthogonal to ``resilient`` for the
+    #: pipelined engines only: a resilient vector plane wraps a
     #: ``ResilientVectorFabric`` (masked fault kernels, pipelined BIST,
     #: compiled Benes failover), a resilient object plane a
-    #: ``ResilientFabric``; the batch/backend engines have no resilient
-    #: variant.
+    #: ``ResilientFabric``; backend engines have no resilient variant.
     engine: str = "object"
-    #: Frames a batch plane buffers before one batched routing call.
+    #: Frames a backend plane buffers before one batched routing call.
     batch_window: int = 32
     #: Weighted QoS classes: ``{"gold": 8, "bronze": 1}`` splits every
     #: destination's VOQ into per-tenant FIFOs drained by deficit-
@@ -105,7 +102,7 @@ class GatewayConfig:
             raise ValueError(
                 f"queue capacity must be >= 1, got {self.queue_capacity}"
             )
-        builtin = ("object", "vector", "batch", "auto")
+        builtin = ("object", "vector")
         if self.engine not in builtin and self.engine not in backend_names():
             raise ValueError(
                 f"engine must be one of {builtin} or a registered "
@@ -261,15 +258,11 @@ class AsyncGateway:
         )
         self.scheduler = FrameScheduler(self.n)
         #: Routing backend serving the planes, for stats and metrics:
-        #: the arena winner under ``engine="auto"``, the pinned backend
-        #: name for backend engines, the BNB engine the built-in kinds
-        #: wrap otherwise.
-        self.backend_name: str = (
-            "bnb-object" if config.engine == "object" else "bnb"
+        #: the pinned backend name for backend engines, the BNB engine
+        #: the pipelined kinds wrap otherwise.
+        self.backend_name: str = {"object": "bnb-object", "vector": "bnb"}.get(
+            config.engine, config.engine
         )
-        #: The arena decision behind an ``engine="auto"`` choice
-        #: (``None`` for every explicit engine).
-        self.arena_decision = None
         if plane_factory is None:
             if config.resilient and config.engine == "vector":
                 plane_factory = lambda i, m: ResilientPlane(
@@ -277,27 +270,19 @@ class AsyncGateway:
                 )
             elif config.resilient:
                 plane_factory = lambda i, m: ResilientPlane(i, m)
-            elif config.engine == "batch":
-                plane_factory = lambda i, m: BatchVectorPlane(
-                    i, m, batch_window=config.batch_window
-                )
             elif config.engine == "vector":
-                plane_factory = lambda i, m: VectorPlane(i, m)
+                plane_factory = lambda i, m: PipelinedPlane(
+                    i,
+                    m,
+                    fabric=VectorPipelinedFabric(m, retain_delivered=False),
+                    verify_every=16,
+                    spot_checks=2,
+                )
             elif config.engine == "object":
                 plane_factory = lambda i, m: PipelinedPlane(i, m)
             else:
-                # Backend engines: "auto" calibrates the arena (batch
-                # workload — these planes route whole windows) and
-                # serves the measured winner; a registered backend name
-                # pins it.  Either way the engine compiles here, at
-                # construction, so no served frame pays compile latency.
-                if config.engine == "auto":
-                    self.arena_decision = select_backend(
-                        config.m, workload="batch"
-                    )
-                    self.backend_name = self.arena_decision.backend
-                else:
-                    self.backend_name = config.engine
+                # Backend engines compile here, at construction, so no
+                # served frame pays compile latency.
                 engine = compiled_backend(self.backend_name, config.m)
                 plane_factory = lambda i, m: BackendPlane(
                     i,
@@ -926,11 +911,6 @@ class AsyncGateway:
             "node_id": self.node_id,
             "engine": self.config.engine,
             "backend": self.backend_name,
-            "arena": (
-                self.arena_decision.describe()
-                if self.arena_decision is not None
-                else None
-            ),
             "uptime_seconds": round(self.uptime_seconds, 3),
             "accepting": self._accepting,
             "draining": self._draining,

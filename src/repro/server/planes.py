@@ -1,23 +1,21 @@
 """Fabric planes: the switching capacity behind the gateway.
 
 A *plane* is one independent copy of the fabric plus the book-keeping
-to track which frames are inside it.  The kinds:
+to track which frames are inside it.  One class per dataplane shape:
 
-* :class:`PipelinedPlane` — a raw
-  :class:`~repro.core.pipeline.PipelinedBNBFabric` clocked frame-per-
-  cycle, ``m`` frames in flight back-to-back.  Deliveries are verified
-  at the plane boundary; a misdelivery (physical fault on an
-  unprotected plane) fails the plane, and its words requeue.
-* :class:`VectorPlane` — the same schedule on the compiled numpy
-  engine (:class:`~repro.core.pipeline_fast.VectorPipelinedFabric`).
-  Boundary verification is *sampled* so it cannot erase the engine's
-  speed advantage: a full check every ``verify_every``-th frame, a
-  rotating spot check of a few destinations otherwise.  A detected
-  misdelivery still kills the plane and requeues everything in flight.
-* :class:`BackendPlane` — the batch plane's buffering and verification
-  over any registered :class:`~repro.backends.RoutingBackend` (KR-Benes,
-  the multiway sorter, or the arena's measured winner under
-  ``engine="auto"``; see ``docs/backends.md``).
+* :class:`PipelinedPlane` — a clocked pipelined fabric, one frame in
+  per cycle and ``m`` in flight back-to-back: the reference
+  :class:`~repro.core.pipeline.PipelinedBNBFabric` (every frame fully
+  verified) or the compiled
+  :class:`~repro.core.pipeline_fast.VectorPipelinedFabric` (sampled
+  verification, so checking cannot erase the engine's speed).  A
+  misdelivery (physical fault on an unprotected plane) fails the plane,
+  and its words requeue.
+* :class:`BackendPlane` — a windowed batch plane: buffers frames and
+  routes each window in one call on any registered
+  :class:`~repro.backends.RoutingBackend` (the compiled BNB kernel,
+  KR-Benes or the multiway sorter; see ``docs/backends.md``), with
+  total arithmetic verification.
 * :class:`ResilientPlane` — a
   :class:`~repro.service.ResilientFabric` (object engine) or
   :class:`~repro.service.ResilientVectorFabric` (vector engine) whose
@@ -39,8 +37,8 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..backends import RoutingBackend, compiled_backend
-from ..core.pipeline import ControlOverride, PipelinedBNBFabric
-from ..core.pipeline_fast import VectorPipelinedFabric, route_frame_batch
+from ..core.pipeline import PipelinedBNBFabric
+from ..core.pipeline_fast import VectorPipelinedFabric
 from ..core.words import Word
 from ..exceptions import FaultServiceError, MisdeliveryError
 from ..service.fabric import ResilientFabric
@@ -49,11 +47,9 @@ from .voq import QueueEntry
 
 __all__ = [
     "BackendPlane",
-    "BatchVectorPlane",
     "CompletedFrame",
     "PipelinedPlane",
     "ResilientPlane",
-    "VectorPlane",
 ]
 
 
@@ -61,11 +57,12 @@ __all__ = [
 class CompletedFrame:
     """A frame that left a plane with every word on its addressed line.
 
-    ``outputs`` is the per-line Word list for the object-engine planes;
-    :class:`BatchVectorPlane` verifies arithmetically on source-index
-    arrays and leaves it ``None`` — nothing downstream of a plane reads
-    ``outputs`` (the gateway resolves receipts from ``frame.entries``),
-    so batch completions never materialize per-word objects.
+    ``outputs`` is the per-line Word list for the pipelined and
+    resilient planes; :class:`BackendPlane` verifies arithmetically on
+    source-index arrays and leaves it ``None`` — nothing downstream of
+    a plane reads ``outputs`` (the gateway resolves receipts from
+    ``frame.entries``), so batch completions never materialize
+    per-word objects.
     """
 
     frame: ScheduledFrame
@@ -75,7 +72,7 @@ class CompletedFrame:
 
 
 class _PlaneBase:
-    """Shared identity, health and accounting for both plane kinds."""
+    """Shared identity, health and accounting for every plane kind."""
 
     def __init__(self, plane_id: int) -> None:
         self.plane_id = plane_id
@@ -134,101 +131,30 @@ class _PlaneBase:
 
 
 class PipelinedPlane(_PlaneBase):
-    """A raw pipelined BNB plane: one frame enters per cycle, ``m`` in flight."""
+    """A clocked BNB plane: one frame enters per cycle, ``m`` in flight.
 
-    def __init__(
-        self,
-        plane_id: int,
-        m: int,
-        control_override: Optional[ControlOverride] = None,
-    ) -> None:
-        super().__init__(plane_id)
-        self.m = m
-        self.fabric = PipelinedBNBFabric(
-            m, control_override=control_override, retain_delivered=False
-        )
-        self._delivered_now: List[Tuple[Any, List[Word]]] = []
-        self.fabric.add_delivery_hook(
-            lambda tag, outputs: self._delivered_now.append((tag, outputs))
-        )
-
-    @property
-    def ready(self) -> bool:
-        return self.healthy and self.fabric.can_accept
-
-    @property
-    def load(self) -> int:
-        return self.in_flight + (0 if self.fabric.can_accept else 1)
-
-    def offer(self, frame: ScheduledFrame) -> None:
-        if not self.ready:
-            raise ValueError(f"plane {self.plane_id} cannot accept a frame now")
-        self.fabric.offer_words(frame.words, tag=frame.tag)
-        self._in_flight[frame.tag] = frame
-
-    def step(self) -> Tuple[List[CompletedFrame], List[QueueEntry]]:
-        """One clock: returns (verified completions, entries to requeue).
-
-        A verification failure — only possible with a physical fault
-        injected into this unprotected plane — fails the whole plane:
-        the bad frame's words and everything else in flight requeue,
-        and ``healthy`` drops so the pool stops scheduling onto it.
-        """
-        if not self.healthy or (
-            self.fabric.in_flight == 0 and self.fabric.can_accept
-        ):
-            return [], []
-        self._delivered_now = []
-        self.fabric.step()
-        completed: List[CompletedFrame] = []
-        for tag, outputs in self._delivered_now:
-            frame = self._in_flight.pop(tag)
-            try:
-                self._verify(frame, outputs)
-            except MisdeliveryError as error:
-                requeue = list(frame.entries.values())
-                requeue.extend(self.kill(reason=str(error)))
-                return completed, requeue
-            self.frames_delivered += 1
-            self.words_delivered += frame.active
-            completed.append(
-                CompletedFrame(
-                    frame=frame,
-                    outputs=outputs,
-                    plane_id=self.plane_id,
-                    mode="clean",
-                )
-            )
-        return completed, []
-
-    def describe(self) -> Dict[str, Any]:
-        info = super().describe()
-        info["engine"] = "object"
-        return info
-
-
-class VectorPlane(_PlaneBase):
-    """A compiled-plan numpy plane with sampled boundary verification.
-
-    Same clocking contract as :class:`PipelinedPlane` — one frame may
-    enter per cycle, ``m`` in flight — but the fabric is a
-    :class:`~repro.core.pipeline_fast.VectorPipelinedFabric`, so a step
-    costs a handful of whole-array passes instead of a Python-object
-    walk per word.  Verifying every line of every frame would put the
-    per-word Python loop right back on the hot path, so verification is
-    sampled: every ``verify_every``-th delivered frame is fully
-    checked; the others get ``spot_checks`` rotating per-destination
-    probes.  Any detected misdelivery (Theorem-2-impossible without a
-    fault or engine bug) kills the plane and requeues its words, same
-    as the object plane.
+    *fabric* is a :class:`~repro.core.pipeline.PipelinedBNBFabric` (the
+    reference object model, the default) or a
+    :class:`~repro.core.pipeline_fast.VectorPipelinedFabric` (compiled
+    numpy, same interface).  Verifying every line of every frame would
+    put a per-word Python loop back on the vector engine's hot path, so
+    verification is a policy: every ``verify_every``-th delivered frame
+    is fully checked, the others get ``spot_checks`` rotating
+    per-destination probes.  The defaults (1, 0) check every frame in
+    full; the gateway's ``engine="vector"`` samples with (16, 2).  A
+    detected misdelivery — Theorem-2-impossible without a fault or an
+    engine bug — fails the whole plane: the bad frame's words and
+    everything else in flight requeue, and ``healthy`` drops so the
+    gateway stops scheduling onto it.
     """
 
     def __init__(
         self,
         plane_id: int,
         m: int,
-        verify_every: int = 16,
-        spot_checks: int = 2,
+        fabric: "PipelinedBNBFabric | VectorPipelinedFabric | None" = None,
+        verify_every: int = 1,
+        spot_checks: int = 0,
     ) -> None:
         super().__init__(plane_id)
         if verify_every < 1:
@@ -244,7 +170,11 @@ class VectorPlane(_PlaneBase):
         self.spot_checks = spot_checks
         self.full_verifies = 0
         self.spot_verifies = 0
-        self.fabric = VectorPipelinedFabric(m, retain_delivered=False)
+        self.fabric = (
+            fabric
+            if fabric is not None
+            else PipelinedBNBFabric(m, retain_delivered=False)
+        )
         self._delivered_now: List[Tuple[Any, List[Word]]] = []
         self.fabric.add_delivery_hook(
             lambda tag, outputs: self._delivered_now.append((tag, outputs))
@@ -328,132 +258,32 @@ class VectorPlane(_PlaneBase):
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
-        info["engine"] = "vector"
+        info["engine"] = (
+            "vector"
+            if isinstance(self.fabric, VectorPipelinedFabric)
+            else "object"
+        )
         info["verify_every"] = self.verify_every
         info["full_verifies"] = self.full_verifies
         info["spot_verifies"] = self.spot_verifies
         return info
 
 
-class BatchVectorPlane(_PlaneBase):
-    """A frame-axis batched numpy plane: many frames per gather.
-
-    Where :class:`VectorPlane` steps one frame per fabric cycle, this
-    plane buffers up to ``batch_window`` frames and routes them all in
-    **one** :func:`~repro.core.pipeline_fast.route_frame_batch` call —
-    every stage of the BNB fabric becomes a single numpy gather over a
-    ``(batch, n)`` matrix, so the interpreter cost of a stage is paid
-    once per *batch of frames* instead of once per frame.  This is the
-    dataplane behind the gateway's ``send_batch`` path and the
-    ``--engine batch`` deployment.
-
-    Verification is total, not sampled, and word-free: the routed
-    ``sources`` row of a frame must satisfy ``sources[dest] ==
-    line_of[dest]`` for every genuine destination, which one vectorized
-    comparison over the frame's ``real_dests``/``real_lines`` arrays
-    checks without constructing a single :class:`Word`.  A failed check
-    kills the plane and requeues everything still inside, the same
-    containment contract as every other plane kind.
-    """
-
-    def __init__(self, plane_id: int, m: int, batch_window: int = 32) -> None:
-        super().__init__(plane_id)
-        if batch_window < 1:
-            raise ValueError(
-                f"batch_window must be >= 1, got {batch_window}"
-            )
-        self.m = m
-        self.n = 1 << m
-        self.batch_window = batch_window
-        self.batches_routed = 0
-        self._pending: List[ScheduledFrame] = []
-        # Prewarm: compile the per-m gather plan now so the first
-        # served batch pays no compile latency (see docs/backends.md).
-        from ..core.plan import compiled_plan
-
-        compiled_plan(m)
-
-    @property
-    def ready(self) -> bool:
-        return self.healthy and len(self._pending) < self.batch_window
-
-    @property
-    def load(self) -> int:
-        return self.in_flight
-
-    def offer(self, frame: ScheduledFrame) -> None:
-        if not self.ready:
-            raise ValueError(f"plane {self.plane_id} cannot accept a frame now")
-        self._pending.append(frame)
-        self._in_flight[frame.tag] = frame
-
-    def kill(self, reason: str = "killed") -> List[QueueEntry]:
-        stranded = super().kill(reason=reason)
-        self._pending.clear()
-        return stranded
-
-    def step(self) -> Tuple[List[CompletedFrame], List[QueueEntry]]:
-        """Route every buffered frame in one batched kernel call."""
-        if not self.healthy or not self._pending:
-            return [], []
-        frames, self._pending = self._pending, []
-        addresses = np.stack([frame.address_array for frame in frames])
-        sources = route_frame_batch(self.m, addresses)
-        self.batches_routed += 1
-        completed: List[CompletedFrame] = []
-        for row, frame in zip(sources, frames):
-            self._in_flight.pop(frame.tag, None)
-            dests = frame.real_dests
-            if dests.size and not np.array_equal(
-                row[dests], frame.real_lines
-            ):
-                bad = dests[row[dests] != frame.real_lines]
-                requeue = list(frame.entries.values())
-                requeue.extend(
-                    self.kill(
-                        reason=str(
-                            MisdeliveryError(
-                                self.plane_id,
-                                f"frame {frame.tag}: outputs {bad.tolist()} "
-                                f"carry the wrong source lines",
-                            )
-                        )
-                    )
-                )
-                return completed, requeue
-            self.frames_delivered += 1
-            self.words_delivered += frame.active
-            completed.append(
-                CompletedFrame(
-                    frame=frame,
-                    outputs=None,
-                    plane_id=self.plane_id,
-                    mode="clean",
-                )
-            )
-        return completed, []
-
-    def describe(self) -> Dict[str, Any]:
-        info = super().describe()
-        info["engine"] = "batch"
-        info["batch_window"] = self.batch_window
-        info["batches_routed"] = self.batches_routed
-        return info
-
-
 class BackendPlane(_PlaneBase):
-    """A batch plane routing through a registered compiled backend.
+    """A frame-axis batch plane routing through a compiled backend.
 
-    The serving end of the backend arena (see ``docs/backends.md``):
-    identical buffering, batching and containment contract to
-    :class:`BatchVectorPlane`, but the routing kernel is whatever
-    :class:`~repro.backends.RoutingBackend` the gateway picked —
-    hard-wired by name (``engine="krbenes"``) or the measured winner
-    of the arena calibration (``engine="auto"``).  Verification stays
-    total and backend-agnostic: the routed ``sources`` rows must put
-    every genuine destination's word on its addressed line, checked
-    arithmetically against ``real_dests``/``real_lines`` exactly as the
-    batch plane does, so a buggy (or merely disagreeing) backend kills
+    Buffers up to ``batch_window`` frames and routes them all in one
+    ``route_frame_batch`` call (a lone frame takes ``route_frame``) of
+    the :class:`~repro.backends.RoutingBackend` the gateway pinned by
+    name (``engine="bnb"``, ``"msorter"``, ...): every stage becomes a
+    single numpy gather over a ``(batch, n)`` matrix, so the
+    interpreter cost of a stage is paid once per *window* instead of
+    once per frame.  This is the dataplane behind ``send_batch``
+    throughput (see ``docs/backends.md``).  Verification is total,
+    backend-agnostic and word-free: the routed ``sources`` row of a
+    frame must put every genuine destination's word on its addressed
+    line, one vectorized comparison against ``real_dests``/
+    ``real_lines`` — so a buggy (or merely disagreeing) backend kills
     the plane and requeues its words instead of misdelivering.
     """
 
@@ -472,8 +302,8 @@ class BackendPlane(_PlaneBase):
         self.m = m
         self.n = 1 << m
         # Accept a name (compiled through the shared per-process cache)
-        # or an already-compiled engine (the auto gateway passes one so
-        # every plane shares the calibrated winner).
+        # or an already-compiled engine (the gateway passes one so every
+        # plane shares it).
         self.backend = (
             compiled_backend(backend, m)
             if isinstance(backend, str)

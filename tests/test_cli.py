@@ -110,19 +110,18 @@ class TestRouteBackend:
         parser = build_parser()
         args = parser.parse_args(["stats", "8", "--engine", "msorter"])
         assert args.engine == "msorter"
-        parser.parse_args(["stats", "8", "--engine", "auto"])
 
-    def test_serve_engine_accepts_auto_and_backend_names(self):
+    def test_every_engine_flag_shares_one_choice_list(self):
         from repro.backends import backend_names
 
         parser = build_parser()
-        for engine in ("object", "vector", "batch", "auto") + tuple(
-            backend_names()
-        ):
-            args = parser.parse_args(["serve", "8", "--engine", engine])
-            assert args.engine == engine
-        with pytest.raises(SystemExit):
-            parser.parse_args(["serve", "8", "--engine", "warp"])
+        for command in ("serve", "stats", "replay", "cluster"):
+            for engine in ("object", "vector") + tuple(backend_names()):
+                args = parser.parse_args([command, "8", "--engine", engine])
+                assert args.engine == engine
+            for retired in ("batch", "auto", "warp"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, "8", "--engine", retired])
 
 
 class TestVerify:
@@ -232,7 +231,7 @@ class TestServe:
         ) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["delivered_words"] == 40
-        assert stats["planes"][0]["kind"] == "VectorPlane"
+        assert stats["planes"][0]["kind"] == "PipelinedPlane"
         assert stats["planes"][0]["engine"] == "vector"
 
     def test_demo_resilient_vector_composes(self, capsys):
@@ -246,17 +245,6 @@ class TestServe:
         assert stats["delivered_words"] == 24
         assert stats["planes"][0]["kind"] == "ResilientPlane"
         assert stats["planes"][0]["engine"] == "vector"
-
-    def test_demo_pool_workers(self, capsys):
-        assert main(
-            ["serve", "8", "--demo", "24", "--pool-workers", "2", "--json"]
-        ) == 0
-        stats = json.loads(capsys.readouterr().out)
-        assert stats["delivered_words"] == 24
-        assert len(stats["planes"]) == 2
-        assert all(
-            plane["kind"] == "ProcessPlane" for plane in stats["planes"]
-        )
 
     def test_serve_bad_size_exits_2(self, capsys):
         assert main(["serve", "12"]) == 2

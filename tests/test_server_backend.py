@@ -1,17 +1,14 @@
-"""Serving on registered backends: pinned engines, auto-select, prewarm.
+"""Serving on registered backends: pinned engines and prewarm.
 
-The gateway half of the backend arena: ``engine="krbenes"`` /
-``"msorter"`` pin a registered backend, ``engine="auto"`` serves the
-measured winner, and either way the compile-once caches are warm
-before the first frame — a server boot pays the cold start, traffic
-never does.
+``engine="bnb"`` / ``"krbenes"`` / ``"msorter"`` pin a registered
+backend, and the compile-once caches are warm before the first frame —
+a server boot pays the cold start, traffic never does.
 """
 
 import numpy as np
 import pytest
 
 from repro.backends import backend_names, compiled_backend
-from repro.backends.arena import clear_arena_cache
 from repro.core.plan import compiled_plan
 from repro.obs import GatewayInstrumentation, Registry
 from repro.server import AsyncGateway, BackendPlane, GatewayConfig
@@ -41,15 +38,12 @@ class TestConfigValidation:
         for name in backend_names():
             assert _config(name).engine == name
 
-    def test_auto_is_a_valid_engine(self):
-        assert _config("auto").engine == "auto"
-
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="registered"):
             _config("warp-drive")
 
     def test_backend_engines_have_no_resilient_variant(self):
-        for engine in ("auto", "msorter", "krbenes", "batch"):
+        for engine in ("bnb", "msorter", "krbenes"):
             with pytest.raises(ValueError, match="no resilient variant"):
                 GatewayConfig(m=3, engine=engine, resilient=True)
 
@@ -68,7 +62,7 @@ class TestPinnedBackendServing:
         assert result.mode_table == ["clean"]
         assert stats["engine"] == engine
         assert stats["backend"] == engine
-        assert stats["arena"] is None
+        assert "arena" not in stats
         plane = stats["planes"][0]
         assert plane["engine"] == "backend"
         assert plane["backend"] == engine
@@ -78,40 +72,6 @@ class TestPinnedBackendServing:
         gateway = AsyncGateway(_config("msorter", planes=3))
         engines = {id(plane.backend) for plane in gateway.planes}
         assert engines == {id(compiled_backend("msorter", 3))}
-
-
-class TestAutoSelect:
-    def test_auto_serves_the_measured_winner(self, run_async):
-        async def scenario():
-            async with AsyncGateway(_config("auto")) as gateway:
-                result = await gateway.send_batch(_burst(3, frames=6))
-                return result, gateway.stats(), gateway.arena_decision
-
-        result, stats, decision = run_async(scenario())
-        assert result.delivered == 48
-        assert decision is not None
-        assert decision.workload == "batch"
-        assert decision.backend == min(
-            decision.table, key=decision.table.__getitem__
-        )
-        assert stats["backend"] == decision.backend
-        assert stats["arena"]["backend"] == decision.backend
-        assert sorted(stats["arena"]["seconds_per_frame"]) == backend_names()
-        assert stats["arena"]["spread"] >= 1.0
-        assert stats["planes"][0]["backend"] == decision.backend
-
-    def test_second_auto_gateway_reuses_the_calibration(self, monkeypatch):
-        from repro.backends import arena as arena_module
-
-        AsyncGateway(_config("auto"))  # pays the calibration
-
-        def _boom(*_args, **_kwargs):
-            raise AssertionError("auto boot re-timed a cached cell")
-
-        monkeypatch.setattr(arena_module, "_time_single", _boom)
-        monkeypatch.setattr(arena_module, "_time_batch", _boom)
-        gateway = AsyncGateway(_config("auto"))
-        assert gateway.backend_name in backend_names()
 
 
 class TestObservability:
@@ -154,7 +114,6 @@ class TestPrewarm:
     ):
         compiled_plan.cache_clear()
         compiled_backend.cache_clear()
-        clear_arena_cache()
         gateway = AsyncGateway(_config("msorter"))
         # Construction compiled both the shared routing plan and the
         # chosen backend (the prewarm hook) — before any frame exists.
@@ -175,7 +134,7 @@ class TestPrewarm:
 
     def test_batch_gateway_prewarms_the_plan(self):
         compiled_plan.cache_clear()
-        AsyncGateway(_config("batch"))
+        AsyncGateway(_config("bnb"))
         assert compiled_plan.cache_info().currsize >= 1
 
     def test_first_frame_latency_shows_no_cold_start(self, run_async):

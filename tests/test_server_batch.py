@@ -1,4 +1,4 @@
-"""The batch dataplane: ``send_batch``, ``BatchVectorPlane``, the client.
+"""The batch dataplane: ``send_batch``, the ``bnb`` batch plane, the client.
 
 The per-batch counterpart of ``test_server_gateway``: one call admits
 thousands of words, the frame-axis kernel routes whole windows per
@@ -20,7 +20,7 @@ from repro.exceptions import (
 )
 from repro.server import (
     AsyncGateway,
-    BatchVectorPlane,
+    BackendPlane,
     GatewayConfig,
     GatewayServer,
 )
@@ -33,7 +33,7 @@ def _batch_config(m=6, capacity=256, window=32, planes=1):
         m=m,
         planes=planes,
         queue_capacity=capacity,
-        engine="batch",
+        engine="bnb",
         batch_window=window,
     )
 
@@ -107,7 +107,7 @@ class TestSendBatch:
                 m=1,
                 planes=1,
                 queue_capacity=2,
-                engine="batch",
+                engine="bnb",
                 batch_window=4,
             )
             async with AsyncGateway(config) as gateway:
@@ -129,7 +129,7 @@ class TestSendBatch:
                 m=1,
                 planes=1,
                 queue_capacity=2,
-                engine="batch",
+                engine="bnb",
                 batch_window=4,
             )
             async with AsyncGateway(config) as gateway:
@@ -156,7 +156,7 @@ class TestSendBatch:
             # Freeze dispatch so the batch stays queued, then stop: the
             # tracker must fail with GatewayClosedError, not hang.
             monkeypatch.setattr(
-                BatchVectorPlane, "ready", property(lambda self: False)
+                BackendPlane, "ready", property(lambda self: False)
             )
             gateway = await AsyncGateway(_batch_config(m=3)).start()
             task = asyncio.ensure_future(
@@ -197,7 +197,8 @@ class TestBatchVectorPlane:
                 return gateway.planes[0].describe()
 
         described = run_async(scenario())
-        assert described["engine"] == "batch"
+        assert described["kind"] == "BackendPlane"
+        assert described["backend"] == "bnb"
         assert described["batch_window"] == 16
         assert described["frames_delivered"] == 32
         # The window amortized: far fewer kernel calls than frames.
@@ -205,9 +206,9 @@ class TestBatchVectorPlane:
 
     def test_config_rejects_batch_resilient_combo(self):
         with pytest.raises(Exception):
-            GatewayConfig(m=3, engine="batch", resilient=True)
+            GatewayConfig(m=3, engine="bnb", resilient=True)
         with pytest.raises(Exception):
-            GatewayConfig(m=3, engine="batch", batch_window=0)
+            GatewayConfig(m=3, engine="bnb", batch_window=0)
 
 
 class TestClientBatch:
@@ -238,7 +239,7 @@ class TestClientBatch:
     def test_client_side_send_retry_honours_hints(self, run_async):
         async def scenario():
             config = GatewayConfig(
-                m=1, planes=1, queue_capacity=1, engine="batch",
+                m=1, planes=1, queue_capacity=1, engine="bnb",
                 batch_window=2,
             )
             gateway = await AsyncGateway(config).start()

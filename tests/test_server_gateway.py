@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.backends import backend_names
 from repro.core.pipeline import PipelinedBNBFabric, stuck_control_override
 from repro.exceptions import (
     AdmissionRejectedError,
@@ -69,6 +70,11 @@ class TestBasics:
             GatewayConfig(m=3, queue_capacity=0)
         with pytest.raises(ValueError):
             GatewayConfig(m=3, engine="simd")
+        # Not engines: the batch plane is spelled "bnb", and the
+        # backend arena runs offline, never at construction.
+        for retired in ("batch", "auto"):
+            with pytest.raises(ValueError):
+                GatewayConfig(m=3, engine=retired)
         # The resilient wrapper is engine-agnostic: combining it with
         # the vector engine builds ResilientVectorFabric planes.
         assert GatewayConfig(m=3, resilient=True, engine="vector").engine == (
@@ -81,17 +87,27 @@ class TestBasics:
             async with AsyncGateway(config) as gateway:
                 await gateway.send(2, payload="x")
                 plane = gateway.stats()["planes"][0]
-                return plane["kind"], plane["engine"]
+                return plane["kind"], plane["engine"], plane.get("backend")
 
-        assert run_async(scenario("object")) == ("PipelinedPlane", "object")
-        assert run_async(scenario("vector")) == ("VectorPlane", "vector")
+        assert run_async(scenario("object")) == (
+            "PipelinedPlane", "object", None
+        )
+        assert run_async(scenario("vector")) == (
+            "PipelinedPlane", "vector", None
+        )
+        for name in backend_names():
+            assert run_async(scenario(name)) == (
+                "BackendPlane", "backend", name
+            )
         assert run_async(scenario("object", resilient=True)) == (
             "ResilientPlane",
             "object",
+            None,
         )
         assert run_async(scenario("vector", resilient=True)) == (
             "ResilientPlane",
             "vector",
+            None,
         )
 
 
@@ -317,7 +333,13 @@ class TestPlaneFailure:
                 return PipelinedPlane(
                     plane_id,
                     m,
-                    control_override=stuck_control_override(2, 0, 0, 0, 0, 1),
+                    fabric=PipelinedBNBFabric(
+                        m,
+                        control_override=stuck_control_override(
+                            2, 0, 0, 0, 0, 1
+                        ),
+                        retain_delivered=False,
+                    ),
                 )
             return PipelinedPlane(plane_id, m)
 

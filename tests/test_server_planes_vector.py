@@ -1,21 +1,30 @@
-"""The vector plane's sampled verification and the multi-process pool."""
+"""Sampled verification on a pipelined plane over the vector fabric."""
 
 import asyncio
 import random
 
 import pytest
 
+from repro.core.pipeline_fast import VectorPipelinedFabric
 from repro.server import (
     AsyncGateway,
     FrameScheduler,
     GatewayConfig,
-    ProcessPlanePool,
-    VectorPlane,
+    PipelinedPlane,
     VirtualOutputQueues,
 )
 from repro.server.voq import QueueEntry
 
 pytestmark = pytest.mark.asyncio_suite
+
+
+def _vector_plane(plane_id, m, **policy):
+    return PipelinedPlane(
+        plane_id,
+        m,
+        fabric=VectorPipelinedFabric(m, retain_delivered=False),
+        **policy,
+    )
 
 
 def _full_frame(scheduler, voqs, n, cycle=1):
@@ -43,13 +52,13 @@ def _run_plane(plane, frame):
 class TestVectorPlaneSampling:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            VectorPlane(0, 3, verify_every=0)
+            _vector_plane(0, 3, verify_every=0)
         with pytest.raises(ValueError):
-            VectorPlane(0, 3, spot_checks=-1)
+            _vector_plane(0, 3, spot_checks=-1)
 
     def test_full_verify_every_kth_frame(self):
         m, n = 3, 8
-        plane = VectorPlane(0, m, verify_every=4, spot_checks=2)
+        plane = _vector_plane(0, m, verify_every=4, spot_checks=2)
         scheduler = FrameScheduler(n)
         voqs = VirtualOutputQueues(n, 16)
         for index in range(9):
@@ -69,7 +78,7 @@ class TestVectorPlaneSampling:
         """Corrupt deliveries starting after the first frame, so only
         the rotating spot checks can see it — they must."""
         m, n = 3, 8
-        plane = VectorPlane(0, m, verify_every=1000, spot_checks=n)
+        plane = _vector_plane(0, m, verify_every=1000, spot_checks=n)
         delivered = [0]
 
         def corrupt(tag, outputs):
@@ -97,10 +106,10 @@ class TestVectorPlaneSampling:
 
     def test_gateway_survives_misdelivering_vector_plane(self, run_async):
         """ISSUE acceptance: sampled verification kills the bad plane,
-        its words requeue, and the pool still delivers 100%."""
+        its words requeue, and the gateway still delivers 100%."""
 
         def factory(plane_id, m):
-            plane = VectorPlane(plane_id, m, verify_every=2, spot_checks=2)
+            plane = _vector_plane(plane_id, m, verify_every=2, spot_checks=2)
             if plane_id == 0:
 
                 def corrupt(tag, outputs):
@@ -132,76 +141,3 @@ class TestVectorPlaneSampling:
         assert "misdelivered" in stats["planes"][0]["failure"]
         assert stats["planes"][1]["healthy"] is True
         assert stats["queues"]["requeued"] > 0
-
-
-class TestProcessPlanePool:
-    def test_pool_validation(self):
-        with pytest.raises(ValueError):
-            ProcessPlanePool(0, workers=1)
-        with pytest.raises(ValueError):
-            ProcessPlanePool(3, workers=0)
-
-    def test_factory_checks_size(self):
-        with ProcessPlanePool(3, workers=1) as pool:
-            with pytest.raises(ValueError):
-                pool.plane_factory(0, 4)
-
-    def test_gateway_delivers_over_worker_processes(self, run_async):
-        pool = ProcessPlanePool(3, workers=2)
-        try:
-
-            async def scenario():
-                config = GatewayConfig(m=3, planes=2, queue_capacity=16)
-                rng = random.Random(29)
-                async with AsyncGateway(
-                    config, plane_factory=pool.plane_factory
-                ) as gateway:
-                    receipts = await asyncio.gather(
-                        *(
-                            gateway.send_with_retry(
-                                rng.randrange(8), payload=index, attempts=64
-                            )
-                            for index in range(120)
-                        )
-                    )
-                    stats = gateway.stats()
-                return receipts, stats
-
-            receipts, stats = run_async(scenario())
-        finally:
-            pool.close()
-        assert all(
-            receipt.payload == index for index, receipt in enumerate(receipts)
-        )
-        assert stats["delivered_words"] == 120
-        kinds = {plane["kind"] for plane in stats["planes"]}
-        assert kinds == {"ProcessPlane"}
-        assert all(
-            plane["engine"] == "vector-process" for plane in stats["planes"]
-        )
-
-    def test_dead_worker_fails_plane_and_requeues(self):
-        n = 8
-        with ProcessPlanePool(3, workers=1) as pool:
-            plane = pool.planes[0]
-            scheduler = FrameScheduler(n)
-            voqs = VirtualOutputQueues(n, 16)
-            frame = _full_frame(scheduler, voqs, n)
-            plane._process.terminate()
-            plane._process.join(5)
-            plane.offer(frame)
-            requeue = []
-            for _ in range(200):
-                _completed, requeue = plane.step()
-                if requeue or not plane.healthy:
-                    break
-            assert plane.healthy is False
-            assert "worker" in plane.failure
-            assert len(requeue) == n
-
-    def test_close_is_idempotent_and_stops_workers(self):
-        pool = ProcessPlanePool(3, workers=2)
-        processes = [plane._process for plane in pool.planes]
-        pool.close()
-        pool.close()
-        assert all(not process.is_alive() for process in processes)

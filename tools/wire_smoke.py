@@ -2,7 +2,7 @@
 
 The CI counterpart of ``tests/test_wire_framing.py``'s differential
 parity test, but against the *real deployment surface*: a ``repro
-serve`` subprocess (batch engine) on a loopback port, exercised
+serve`` subprocess (bnb batch engine) on a loopback port, exercised
 through the public :class:`repro.client.GatewayClient` over the JSON
 framing and the binary framing in turn.  Each framing runs hello /
 ping / stats / send / send_batch; the comparable response fields must
@@ -103,7 +103,7 @@ def main(argv: list) -> int:
             "serve",
             str(N),
             "--engine",
-            "batch",
+            "bnb",
             "--port",
             str(port),
             "--duration",
