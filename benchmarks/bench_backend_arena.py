@@ -1,16 +1,15 @@
-"""Backend arena: every compiled routing engine, measured head to head.
+"""Backend arena: the serving routing engines, measured head to head.
 
-The ISSUE 9 acceptance benchmark.  Each registered backend (the compiled
-BNB vector engine, the object-model reference, the KR-Benes looping
-tables, the multiway comparator sorter) is differentially verified
-against the crossbar oracle and then timed per ``(m, workload class)``
-cell — ``single`` (one frame per ``route_frame`` call, the latency
-shape) and ``batch`` (``batch_window`` frames per ``route_frame_batch``
-call, the throughput shape).  The winner of each cell is whatever the
-clock says on this machine; the acceptance bar is that the measurement
-*matters*: on at least two cells the winner must beat the slowest
-candidate by >= 1.2x (measured spreads run 25-200x in the container
-this grew up in).
+Each backend in ``BACKENDS`` (the compiled BNB vector engine and the
+multiway comparator sorter) is differentially verified against the
+crossbar oracle and then timed per ``(m, workload class)`` cell —
+``single`` (one frame per ``route_frame`` call, the latency shape) and
+``batch`` (``batch_window`` frames per ``route_frame_batch`` call, the
+throughput shape).  The winner of each cell is whatever the clock says
+on this machine; the acceptance bar is that the measurement *matters*:
+on at least two cells the winner must beat the slowest candidate by
+>= 1.2x (bnb against msorter spreads 1.6-10.1x per cell on a 2-vCPU
+container).
 
 ``BENCH_ARENA_QUICK=1`` (the CI smoke) trims the sweep to m in {3, 5}
 and shortens the timing loops; the spread bar still applies.
@@ -20,13 +19,12 @@ Findings (see ``benchmarks/out/backend_arena.json``):
 * the multiway sorter's handful of whole-array comparator passes win
   both workloads at every measured m — sorting-by-destination costs
   O(log^2 N) vectorized stages but each stage is one fancy-index pass;
-* KR-Benes is latency-competitive (the Waksman looping dominates; the
-  compiled gather application is nearly free) but cannot amortize the
-  per-frame control computation across a batch, so it falls behind on
-  the batch workload;
-* the object engine loses every cell by 1-2 orders of magnitude, which
-  is exactly why ``engine="auto"`` exists: the gateway should never
-  guess when it can measure.
+* the BNB kernel's ``m`` gather stages carry more per-call overhead,
+  which the batch form amortizes: its batch cells sit far closer to
+  msorter than its single-frame cells.
+
+The arena is offline: a deployment runs it (or ``repro route N
+--backend auto``) on its own host and pins the winner by name.
 """
 
 from __future__ import annotations
@@ -35,10 +33,9 @@ import json
 import os
 
 from repro.backends import (
+    ArenaDecision,
     backend_names,
     calibrate,
-    clear_arena_cache,
-    select_backend,
     verify_backend,
 )
 
@@ -54,9 +51,8 @@ SPREAD_CELLS = 2
 
 def test_backend_arena(write_artifact):
     """Calibrate every backend per (m, workload); the spread bar holds."""
-    clear_arena_cache()  # measure fresh, not whatever this process cached
     names = backend_names()
-    assert {"bnb", "bnb-object", "krbenes", "msorter"} <= set(names)
+    assert set(names) == {"bnb", "msorter"}
 
     verified = {
         name: {
@@ -76,8 +72,12 @@ def test_backend_arena(write_artifact):
             verify_samples=VERIFY_SAMPLES,
         )
         for workload, costs in table.items():
-            decision = select_backend(m, workload=workload)
-            assert decision.backend == min(costs, key=costs.__getitem__)
+            decision = ArenaDecision(
+                m=m,
+                workload=workload,
+                backend=min(costs, key=costs.__getitem__),
+                table=costs,
+            )
             cells.append(
                 {
                     "m": m,

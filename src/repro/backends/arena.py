@@ -1,8 +1,8 @@
-"""The backend arena: measured auto-select over registered backends.
+"""The backend arena: measured auto-select over the serving backends.
 
 Turns the paper's Tables 1/2 — an *analytical* comparison of the BNB
 network against rival fabrics — into a live, benchmarked one.  A
-calibration pass times every registered backend on this machine, per
+calibration pass times every backend on this machine, per
 ``(m, workload class)``:
 
 * ``"single"`` — one frame per ``route_frame`` call, the latency-bound
@@ -18,9 +18,9 @@ compares arrival orders word for word.  A backend that disagrees with
 the oracle raises :class:`BackendDisagreementError` rather than being
 silently timed: a fast wrong answer must never win.
 
-Results are cached per ``(m, workload, backend)`` in-process, so a
-repeated lookup is a dict read.  :func:`select_backend` returns the
-measured winner for a cell.  The arena is offline: it runs in
+Every :func:`calibrate` call verifies and times afresh; nothing is
+cached between calls.  :func:`select_backend` returns the measured
+winner for one cell.  The arena is offline: it runs in
 ``benchmarks/bench_backend_arena.py`` and ``repro route --backend
 auto``, never at gateway construction — a deployment pins the winner
 by name (``repro serve N --engine msorter``).
@@ -42,18 +42,12 @@ __all__ = [
     "BackendDisagreementError",
     "WORKLOADS",
     "calibrate",
-    "clear_arena_cache",
     "select_backend",
     "verify_backend",
 ]
 
 #: The workload classes the arena measures.
 WORKLOADS: Tuple[str, ...] = ("single", "batch")
-
-#: ``(m, workload, backend) -> seconds_per_frame`` measured on this
-#: machine, filled lazily by :func:`calibrate`.
-_CACHE: Dict[Tuple[int, str, str], float] = {}
-
 
 class BackendDisagreementError(ReproError):
     """A backend's arrival order disagreed with the crossbar oracle."""
@@ -181,15 +175,12 @@ def calibrate(
     repeats: int = 3,
     verify_samples: int = 8,
     seed: int = 7,
-    use_cache: bool = True,
 ) -> Dict[str, Dict[str, float]]:
     """Measure seconds/frame for every backend per workload class.
 
     Returns ``{workload: {backend: seconds_per_frame}}``.  Every
-    candidate passes :func:`verify_backend` before it is timed; a
-    disagreeing backend raises instead of competing.  Measured cells
-    land in the in-process cache, so repeated calls (the CLI, the
-    benchmark) are dict reads.
+    candidate passes :func:`verify_backend` before any timer starts; a
+    disagreeing backend raises instead of competing.
     """
     names = list(backends) if backends is not None else backend_names()
     for workload in workloads:
@@ -198,37 +189,29 @@ def calibrate(
                 f"unknown workload {workload!r}; choose from {WORKLOADS}"
             )
     prewarm(m, names)
-    missing = [
-        (workload, name)
-        for workload in workloads
-        for name in names
-        if not (use_cache and (m, workload, name) in _CACHE)
+    for name in names:
+        verify_backend(name, m, samples=verify_samples, seed=seed)
+    rng = np.random.default_rng(seed)
+    n = 1 << m
+    single_frames = [
+        rng.permutation(n).astype(np.int64) for _ in range(frames)
     ]
-    if missing:
-        for name in {name for _w, name in missing}:
-            verify_backend(name, m, samples=verify_samples, seed=seed)
-        rng = np.random.default_rng(seed)
-        n = 1 << m
-        single_frames = [
-            rng.permutation(n).astype(np.int64) for _ in range(frames)
+    batch_frames = np.stack(
+        [
+            rng.permutation(n).astype(np.int64)
+            for _ in range(batch_window)
         ]
-        batch_frames = np.stack(
-            [
-                rng.permutation(n).astype(np.int64)
-                for _ in range(batch_window)
-            ]
-        )
-        for workload, name in missing:
+    )
+    table: Dict[str, Dict[str, float]] = {}
+    for workload in workloads:
+        row = table[workload] = {}
+        for name in names:
             engine = compiled_backend(name, m)
             if workload == "single":
-                cost = _time_single(engine, single_frames, repeats)
+                row[name] = _time_single(engine, single_frames, repeats)
             else:
-                cost = _time_batch(engine, batch_frames, repeats)
-            _CACHE[(m, workload, name)] = cost
-    return {
-        workload: {name: _CACHE[(m, workload, name)] for name in names}
-        for workload in workloads
-    }
+                row[name] = _time_batch(engine, batch_frames, repeats)
+    return table
 
 
 def select_backend(
@@ -239,7 +222,7 @@ def select_backend(
 ) -> ArenaDecision:
     """The measured-fastest backend for ``(m, workload)``.
 
-    Runs (or reuses) the calibration for just that cell and returns an
+    Runs the calibration for just that cell and returns an
     :class:`ArenaDecision` carrying the winner and the full cost table,
     so callers can report *why* the choice fell the way it did.
     """
@@ -248,8 +231,3 @@ def select_backend(
     )[workload]
     winner = min(table, key=table.__getitem__)
     return ArenaDecision(m=m, workload=workload, backend=winner, table=table)
-
-
-def clear_arena_cache() -> None:
-    """Drop every measured cell (tests and benchmark re-runs)."""
-    _CACHE.clear()

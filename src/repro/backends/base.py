@@ -1,50 +1,40 @@
-"""The :class:`RoutingBackend` protocol and the backend registry.
+"""The :class:`RoutingBackend` protocol and the table of serving backends.
 
-ROADMAP item 1 made live: every permutation-routing engine in the
-repository — the BNB dataplane itself and the rival fabrics from
-``baselines/`` — plugs in behind one compiled-engine contract so the
-serving layer (and the arena calibration in
-:mod:`repro.backends.arena`) can treat "which network routes this
-plane's frames" as a measured choice instead of a hard-coded one.
+A backend is a compiled permutation-routing engine the serving layer
+(and the offline arena in :mod:`repro.backends.arena`) drives through
+one contract: built **once per (backend, m)** and cached process-wide,
+exposing ``route_frame`` / ``route_frame_batch`` over int64 numpy
+address arrays.  Both return *sources*: ``sources[line]`` is the input
+line whose word arrives on output ``line`` (``sources[b, line]`` for
+the batch form), the same convention as
+:func:`repro.core.pipeline_fast.route_frame_sources`.
 
-The contract has two halves:
+:data:`BACKENDS` names the two engines that serve: the compiled BNB
+dataplane (``"bnb"``) and the multiway sorter (``"msorter"``).  The
+rival fabrics the paper argues against stay analysis routers
+(``repro verify --network benes``), not serving engines.
 
-* a :class:`BackendSpec` — the registry entry: name, one-line summary,
-  capability flags (``supports_fault_mask`` for engines that accept a
-  :class:`~repro.core.plan.FaultMask`, ``supports_partial`` for engines
-  that can route non-permutation frames) and a ``factory`` that
-  compiles the per-``m`` engine;
-* a compiled engine (:class:`RoutingBackend`) — built **once per
-  (backend, m)** and cached process-wide, exposing ``route_frame`` /
-  ``route_frame_batch`` over int64 numpy address arrays.  Both return
-  *sources*: ``sources[line]`` is the input line whose word arrives on
-  output ``line`` (``sources[b, line]`` for the batch form), the same
-  convention as :func:`repro.core.pipeline_fast.route_frame_sources`.
-
-Compilation cost (Benes wiring tables, comparator stage indices, BNB
-gather plans) is therefore paid once per process per size — the
-:func:`prewarm` hook lets the gateway pay it at boot instead of on the
-first served frame.
+Compilation cost (comparator stage indices, BNB gather plans) is
+therefore paid once per process per size — the :func:`prewarm` hook
+lets the gateway pay it at boot instead of on the first served frame.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-from typing import Callable, Dict, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import List, Optional, Protocol, runtime_checkable
 
 import numpy as np
 
+from .bnb import BNBVectorBackend
+from .msorter import MultiwaySorterBackend
+
 __all__ = [
-    "BackendSpec",
+    "BACKENDS",
     "RoutingBackend",
     "backend_names",
-    "backend_specs",
-    "compile_cache_info",
     "compiled_backend",
-    "get_backend_spec",
     "prewarm",
-    "register_backend",
 ]
 
 
@@ -58,7 +48,7 @@ class RoutingBackend(Protocol):
     of its size concurrently.
     """
 
-    #: Registry name of the backend that compiled this engine.
+    #: Name of the backend that compiled this engine.
     name: str
     #: Size exponent; the engine routes frames of ``n = 2**m`` words.
     m: int
@@ -79,63 +69,13 @@ class RoutingBackend(Protocol):
         ...
 
 
-@dataclasses.dataclass(frozen=True)
-class BackendSpec:
-    """One registry entry: identity, capabilities, and the compiler."""
-
-    name: str
-    summary: str
-    factory: Callable[[int], RoutingBackend]
-    #: The engine accepts a :class:`~repro.core.plan.FaultMask` (a
-    #: ``mask=`` keyword on its route methods) and reproduces the
-    #: faulty fabric's arrival order.
-    supports_fault_mask: bool = False
-    #: The engine delivers the active words of a frame whose idle lines
-    #: carry no genuine destination.  Every current backend requires a
-    #: full permutation (the scheduler's self-addressed filler provides
-    #: one), so this stays ``False`` until a partial-capable engine —
-    #: e.g. a concentrator front end — registers.
-    supports_partial: bool = False
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "name": self.name,
-            "summary": self.summary,
-            "supports_fault_mask": self.supports_fault_mask,
-            "supports_partial": self.supports_partial,
-        }
-
-
-#: name -> spec; populated by the ``register_backend`` calls in the
-#: sibling modules, imported by ``repro.backends.__init__``.
-_REGISTRY: Dict[str, BackendSpec] = {}
-
-
-def register_backend(spec: BackendSpec) -> BackendSpec:
-    """Add *spec* to the registry (idempotent for an identical spec)."""
-    existing = _REGISTRY.get(spec.name)
-    if existing is not None and existing is not spec:
-        raise ValueError(f"backend {spec.name!r} is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
+#: name -> engine class; each class compiles its engine from ``m``.
+BACKENDS = {"bnb": BNBVectorBackend, "msorter": MultiwaySorterBackend}
 
 
 def backend_names() -> List[str]:
-    """Registered backend names, sorted — the CLI choices source."""
-    return sorted(_REGISTRY)
-
-
-def backend_specs() -> Tuple[BackendSpec, ...]:
-    return tuple(_REGISTRY[name] for name in backend_names())
-
-
-def get_backend_spec(name: str) -> BackendSpec:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; registered: {backend_names()}"
-        ) from None
+    """Serving backend names, sorted — the CLI choices source."""
+    return sorted(BACKENDS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -148,12 +88,13 @@ def compiled_backend(name: str, m: int) -> RoutingBackend:
     """
     if m < 1:
         raise ValueError(f"a routing backend needs m >= 1, got {m}")
-    return get_backend_spec(name).factory(m)
-
-
-def compile_cache_info():
-    """The compiled-engine cache counters (for prewarm tests/stats)."""
-    return compiled_backend.cache_info()
+    try:
+        factory = BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown backend {name!r}; choose from {backend_names()}"
+        ) from None
+    return factory(m)
 
 
 def prewarm(m: int, names: Optional[List[str]] = None) -> List[str]:

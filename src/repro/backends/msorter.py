@@ -31,7 +31,6 @@ from typing import List, Tuple
 import numpy as np
 
 from ..baselines.batcher import BatcherNetwork, _odd_even_merge
-from .base import BackendSpec, register_backend
 
 __all__ = ["LEAF_EXP", "MultiwaySorterBackend"]
 
@@ -149,12 +148,3 @@ class MultiwaySorterBackend:
             f"MultiwaySorterBackend(m={self.m}, n={self.n}, "
             f"leaf_width={self.leaf_width}, stages={self.stage_count})"
         )
-
-
-register_backend(
-    BackendSpec(
-        name="msorter",
-        summary="multiway sorter: argsort leaves + odd-even merge tree",
-        factory=MultiwaySorterBackend,
-    )
-)

@@ -41,16 +41,16 @@ __all__ = ["main", "build_parser"]
 
 
 def _backend_choices() -> List[str]:
-    """Registered backend names plus ``auto`` — the ``route --backend``
-    choices, derived from the registry so argparse can never drift from
-    it (``auto`` runs the offline arena for this one route)."""
+    """Backend names plus ``auto`` — the ``route --backend`` choices,
+    derived from ``BACKENDS`` so argparse can never drift from it
+    (``auto`` runs the offline arena for this one route)."""
     from .backends import backend_names
 
     return backend_names() + ["auto"]
 
 
 def _engine_choices() -> List[str]:
-    """``object``, ``vector`` and every registered backend name — the
+    """``object``, ``vector`` and every backend name — the
     ``--engine`` choices of serve, stats, replay and cluster, exactly
     the values ``GatewayConfig.engine`` accepts."""
     from .backends import backend_names
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=_backend_choices(),
         default=None,
-        help="route through a registered compiled backend instead of "
+        help="route through a compiled serving backend instead of "
         "--network ('auto' runs the arena calibration and picks the "
         "measured-fastest; see docs/backends.md)",
     )
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_engine_choices(),
         default="object",
         help="plane dataplane engine: reference object model, the "
-        "compiled vectorized numpy pipeline, or a registered backend "
+        "compiled vectorized numpy pipeline, or a backend "
         "name for windowed batch planes on that backend (bnb routes "
         "whole windows of frames per gather; pairs with the binary "
         "wire framing's send_batch)",
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=_engine_choices(),
         default="object",
-        help="plane engine for one-shot mode (a registered backend "
+        help="plane engine for one-shot mode (a backend "
         "name serves batch planes on it; see docs/backends.md)",
     )
     stats.add_argument(
@@ -471,14 +471,19 @@ def _command_route(args: argparse.Namespace) -> int:
     m = args.n.bit_length() - 1
     backend_used = None
     if args.backend is not None:
-        # The registered-backend path: --backend overrides --network,
-        # and 'auto' asks the arena for the measured-fastest engine.
-        if args.fast:
-            from .exceptions import InputError
+        # The serving-backend path: --backend replaces --network, and
+        # 'auto' asks the arena for the measured-fastest engine.
+        from .exceptions import InputError
 
+        if args.fast:
             raise InputError(
                 "--fast is shorthand for the compiled BNB path; it does "
                 "not compose with --backend (use --backend bnb)"
+            )
+        if args.network != "bnb":
+            raise InputError(
+                f"--backend routes on a serving backend; it cannot route "
+                f"the {args.network!r} network (drop --backend)"
             )
         import numpy as np
 

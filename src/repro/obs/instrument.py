@@ -128,7 +128,8 @@ class GatewayInstrumentation:
             "repro_backend_info",
             "Routing backend serving this gateway's planes (the value "
             "is always 1): the pinned backend for backend engines, bnb "
-            "or bnb-object for the pipelined ones.",
+            "for the vector engine, bnb-object (the object model it "
+            "clocks, not a backend) for the object engine.",
             labelnames=("backend", "m"),
         )
         self._cycle = r.gauge(

@@ -40,7 +40,12 @@ from .planes import (
     ResilientPlane,
 )
 from .scheduler import FrameScheduler
-from .voq import DEFAULT_TENANT, QueueEntry, VirtualOutputQueues
+from .voq import (
+    DEFAULT_TENANT,
+    QueueEntry,
+    VirtualOutputQueues,
+    validate_tenants,
+)
 
 __all__ = ["AsyncGateway", "BatchResult", "GatewayConfig", "Receipt"]
 
@@ -60,8 +65,8 @@ class GatewayConfig:
     #: reference ``PipelinedBNBFabric`` (every frame verified),
     #: ``"vector"`` the compiled-plan numpy ``VectorPipelinedFabric``
     #: (sampled verification), both as
-    #: :class:`~repro.server.planes.PipelinedPlane`\ s.  Any registered
-    #: backend name (``"bnb"``, ``"msorter"``, ...) serves
+    #: :class:`~repro.server.planes.PipelinedPlane`\ s.  Any backend
+    #: name (``"bnb"`` or ``"msorter"``) serves
     #: :class:`~repro.server.planes.BackendPlane`\ s that route whole
     #: windows of frames per call on that backend — ``"bnb"`` is the
     #: engine behind ``send_batch`` throughput (see
@@ -117,29 +122,7 @@ class GatewayConfig:
             raise ValueError(
                 f"batch_window must be >= 1, got {self.batch_window}"
             )
-        if self.starvation_cycles < 1:
-            raise ValueError(
-                f"starvation_cycles must be >= 1, "
-                f"got {self.starvation_cycles}"
-            )
-        if self.tenants is not None:
-            if not self.tenants:
-                raise ValueError("tenants must name at least one class")
-            for name, weight in self.tenants.items():
-                if not isinstance(name, str) or not name:
-                    raise ValueError(
-                        f"tenant names must be non-empty strings, "
-                        f"got {name!r}"
-                    )
-                if (
-                    not isinstance(weight, int)
-                    or isinstance(weight, bool)
-                    or weight < 1
-                ):
-                    raise ValueError(
-                        f"tenant {name!r} needs an integer weight >= 1, "
-                        f"got {weight!r}"
-                    )
+        validate_tenants(self.tenants, self.starvation_cycles)
 
     @property
     def n(self) -> int:
@@ -259,7 +242,8 @@ class AsyncGateway:
         self.scheduler = FrameScheduler(self.n)
         #: Routing backend serving the planes, for stats and metrics:
         #: the pinned backend name for backend engines, the BNB engine
-        #: the pipelined kinds wrap otherwise.
+        #: the pipelined kinds wrap otherwise (``bnb-object`` names the
+        #: object model the ``object`` engine clocks; it is not a backend).
         self.backend_name: str = {"object": "bnb-object", "vector": "bnb"}.get(
             config.engine, config.engine
         )

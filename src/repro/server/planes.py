@@ -12,9 +12,9 @@ to track which frames are inside it.  One class per dataplane shape:
   misdelivery (physical fault on an unprotected plane) fails the plane,
   and its words requeue.
 * :class:`BackendPlane` — a windowed batch plane: buffers frames and
-  routes each window in one call on any registered
-  :class:`~repro.backends.RoutingBackend` (the compiled BNB kernel,
-  KR-Benes or the multiway sorter; see ``docs/backends.md``), with
+  routes each window in one call on a
+  :class:`~repro.backends.RoutingBackend` (the compiled BNB kernel or
+  the multiway sorter; see ``docs/backends.md``), with
   total arithmetic verification.
 * :class:`ResilientPlane` — a
   :class:`~repro.service.ResilientFabric` (object engine) or

@@ -31,6 +31,36 @@ __all__ = ["DEFAULT_TENANT", "QueueEntry", "VirtualOutputQueues"]
 DEFAULT_TENANT = "default"
 
 
+def validate_tenants(
+    tenants: Optional[Mapping[str, int]], starvation_cycles: int
+) -> None:
+    """Reject a bad tenant-weight map or starvation bound with
+    ``ValueError`` — shared by :class:`VirtualOutputQueues` and
+    :class:`~repro.server.gateway.GatewayConfig`."""
+    if starvation_cycles < 1:
+        raise ValueError(
+            f"starvation_cycles must be >= 1, got {starvation_cycles}"
+        )
+    if tenants is None:
+        return
+    if not tenants:
+        raise ValueError("tenants must name at least one class")
+    for name, weight in tenants.items():
+        if not isinstance(name, str) or not name:
+            raise ValueError(
+                f"tenant names must be non-empty strings, got {name!r}"
+            )
+        if (
+            not isinstance(weight, int)
+            or isinstance(weight, bool)
+            or weight < 1
+        ):
+            raise ValueError(
+                f"tenant {name!r} needs an integer weight >= 1, "
+                f"got {weight!r}"
+            )
+
+
 @dataclasses.dataclass(slots=True)
 class QueueEntry:
     """One admitted word waiting for (or riding) a frame.
@@ -213,6 +243,7 @@ class VirtualOutputQueues:
             raise ValueError(f"need at least one output queue, got n={n}")
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
+        validate_tenants(tenants, starvation_cycles)
         self.n = n
         self.capacity = capacity
         if tenants is None:
@@ -222,26 +253,6 @@ class VirtualOutputQueues:
                 deque() for _ in range(n)
             ]
         else:
-            if not tenants:
-                raise ValueError("tenants must name at least one class")
-            for name, weight in tenants.items():
-                if not isinstance(name, str) or not name:
-                    raise ValueError(
-                        f"tenant names must be non-empty strings, got {name!r}"
-                    )
-                if (
-                    not isinstance(weight, int)
-                    or isinstance(weight, bool)
-                    or weight < 1
-                ):
-                    raise ValueError(
-                        f"tenant {name!r} needs an integer weight >= 1, "
-                        f"got {weight!r}"
-                    )
-            if starvation_cycles < 1:
-                raise ValueError(
-                    f"starvation_cycles must be >= 1, got {starvation_cycles}"
-                )
             self._tenant_state = _TenantState(tenants, starvation_cycles)
             self._tenant_admission = {
                 name: {"offered": 0, "accepted": 0, "rejected": 0,

@@ -1,4 +1,4 @@
-"""The arena: calibration, caching, winner selection, oracle gating.
+"""The arena: calibration, winner selection, oracle gating.
 
 The property that matters most: **a fast wrong answer must never
 win** — a backend that disagrees with the crossbar oracle raises
@@ -10,29 +10,20 @@ import numpy as np
 import pytest
 
 from repro.backends import (
+    BACKENDS,
     BackendDisagreementError,
-    BackendSpec,
     WORKLOADS,
     backend_names,
     calibrate,
-    clear_arena_cache,
     compiled_backend,
     select_backend,
     verify_backend,
 )
 from repro.backends import arena as arena_module
-from repro.backends.base import _REGISTRY
 from repro.exceptions import ReproError
 
 #: Small, fast calibration settings for the tests.
 QUICK = dict(frames=4, batch_window=4, repeats=1, verify_samples=2)
-
-
-@pytest.fixture(autouse=True)
-def fresh_arena():
-    clear_arena_cache()
-    yield
-    clear_arena_cache()
 
 
 class TestCalibrate:
@@ -47,26 +38,6 @@ class TestCalibrate:
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown workload"):
             calibrate(3, workloads=("latency",), **QUICK)
-
-    def test_results_cached_no_retiming(self, monkeypatch):
-        first = calibrate(3, **QUICK)
-
-        def _boom(*_args, **_kwargs):
-            raise AssertionError("re-timed a cached cell")
-
-        monkeypatch.setattr(arena_module, "_time_single", _boom)
-        monkeypatch.setattr(arena_module, "_time_batch", _boom)
-        again = calibrate(3, **QUICK)
-        assert again == first
-
-    def test_use_cache_false_retimes(self):
-        first = calibrate(3, workloads=("single",), **QUICK)
-        again = calibrate(
-            3, workloads=("single",), use_cache=False, **QUICK
-        )
-        # Fresh timings land in the cache (values may legitimately
-        # differ run to run; the shape must not).
-        assert set(again["single"]) == set(first["single"])
 
     def test_backend_subset(self):
         table = calibrate(3, backends=["bnb", "msorter"], **QUICK)
@@ -94,13 +65,6 @@ class TestSelectBackend:
             info["seconds_per_frame"]
         )
 
-    def test_vector_beats_object_on_batch(self):
-        # Not a full ranking pin (machine-dependent), but the compiled
-        # batch kernel beating the per-word object loop is structural.
-        decision = select_backend(4, workload="batch", **QUICK)
-        assert decision.table["bnb"] < decision.table["bnb-object"]
-        assert decision.backend != "bnb-object"
-
 
 class _LyingBackend:
     """Routes everything to line 0 — fast and wrong."""
@@ -119,18 +83,10 @@ class _LyingBackend:
 
 
 @pytest.fixture
-def lying_backend():
-    spec = BackendSpec(
-        name="lying-test",
-        summary="deliberately wrong (test only)",
-        factory=_LyingBackend,
-    )
-    _REGISTRY[spec.name] = spec
-    try:
-        yield spec.name
-    finally:
-        del _REGISTRY[spec.name]
-        compiled_backend.cache_clear()
+def lying_backend(monkeypatch):
+    monkeypatch.setitem(BACKENDS, _LyingBackend.name, _LyingBackend)
+    yield _LyingBackend.name
+    compiled_backend.cache_clear()
 
 
 class TestOracleGate:
@@ -142,13 +98,17 @@ class TestOracleGate:
         with pytest.raises(BackendDisagreementError, match="disagrees"):
             verify_backend(lying_backend, 2, samples=2)
 
-    def test_calibrate_refuses_to_time_a_liar(self, lying_backend):
+    def test_calibrate_refuses_to_time_a_liar(
+        self, lying_backend, monkeypatch
+    ):
+        def _boom(*_args, **_kwargs):
+            raise AssertionError("timed a backend that failed the oracle")
+
+        monkeypatch.setattr(arena_module, "_time_single", _boom)
+        monkeypatch.setattr(arena_module, "_time_batch", _boom)
+        # Nothing is timed: the oracle gate raises first.
         with pytest.raises(BackendDisagreementError):
-            calibrate(2, backends=[lying_backend, "bnb"], **QUICK)
-        # Nothing was timed for the lying cell.
-        assert all(
-            key[2] != lying_backend for key in arena_module._CACHE
-        )
+            calibrate(2, backends=["bnb", lying_backend], **QUICK)
 
     def test_disagreement_is_a_repro_error(self):
         assert issubclass(BackendDisagreementError, ReproError)

@@ -1,11 +1,11 @@
-"""The backend registry, protocol conformance, and engine correctness.
+"""The backend table, protocol conformance, and engine correctness.
 
-Every registered backend must (a) satisfy the ``RoutingBackend``
+Every serving backend must (a) satisfy the ``RoutingBackend``
 protocol, (b) deliver **every** permutation at m=3 — the exhaustive
 Theorem-2-style sweep, all ``8! = 40320`` frames — and (c) agree with
 the crossbar oracle under hypothesis-driven fuzz, in both its single
-and batch forms.  The registry itself is pinned: names, capability
-flags, compile-once caching, duplicate rejection.
+and batch forms.  The table itself is pinned: names, unknown-name
+rejection, compile-once caching.
 """
 
 import itertools
@@ -15,21 +15,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backends import (
-    BackendSpec,
+    BACKENDS,
     RoutingBackend,
     backend_names,
-    backend_specs,
-    compile_cache_info,
     compiled_backend,
-    get_backend_spec,
     prewarm,
-    register_backend,
 )
-from repro.backends.base import _REGISTRY
 from repro.baselines.crossbar import Crossbar
 from repro.core.words import Word
 
-EXPECTED = ["bnb", "bnb-object", "krbenes", "msorter"]
+EXPECTED = ["bnb", "msorter"]
 
 
 def _delivered(addresses: np.ndarray, sources: np.ndarray) -> bool:
@@ -41,42 +36,10 @@ class TestRegistry:
     def test_builtin_backends_registered(self):
         assert backend_names() == EXPECTED
 
-    def test_capability_flags(self):
-        flags = {
-            spec.name: spec.supports_fault_mask for spec in backend_specs()
-        }
-        assert flags == {
-            "bnb": True,
-            "bnb-object": False,
-            "krbenes": False,
-            "msorter": False,
-        }
-        # Reserved until a partial-capable engine registers.
-        assert not any(spec.supports_partial for spec in backend_specs())
-
-    def test_describe_shape(self):
-        info = get_backend_spec("bnb").describe()
-        assert info["name"] == "bnb"
-        assert info["supports_fault_mask"] is True
-        assert set(info) == {
-            "name", "summary", "supports_fault_mask", "supports_partial",
-        }
-
     def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            get_backend_spec("nope")
-        with pytest.raises(ValueError, match="unknown backend"):
-            compiled_backend("nope", 3)
-
-    def test_duplicate_registration_rejected_same_spec_idempotent(self):
-        spec = get_backend_spec("bnb")
-        assert register_backend(spec) is spec  # idempotent re-register
-        clone = BackendSpec(
-            name="bnb", summary="impostor", factory=spec.factory
-        )
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(clone)
-        assert get_backend_spec("bnb") is spec
+        for retired in ("nope", "krbenes", "bnb-object"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                compiled_backend(retired, 3)
 
     def test_compiled_backend_caches_per_name_and_m(self):
         a = compiled_backend("msorter", 3)
@@ -90,9 +53,9 @@ class TestRegistry:
     def test_prewarm_compiles_all_named(self):
         names = prewarm(2)
         assert names == backend_names()
-        before = compile_cache_info().hits
-        prewarm(2, ["krbenes"])  # second pass: pure cache hits
-        assert compile_cache_info().hits > before
+        before = compiled_backend.cache_info().hits
+        prewarm(2, ["msorter"])  # second pass: pure cache hits
+        assert compiled_backend.cache_info().hits > before
 
 
 class TestProtocolConformance:
@@ -201,10 +164,9 @@ class TestFaultMaskCapability:
 
     def test_unflagged_backends_take_no_mask_kwarg(self):
         frame = np.array([1, 0], dtype=np.int64)
-        for name in ("bnb-object", "krbenes", "msorter"):
-            engine = compiled_backend(name, 1)
-            with pytest.raises(TypeError):
-                engine.route_frame(frame, mask=object())
+        engine = compiled_backend("msorter", 1)
+        with pytest.raises(TypeError):
+            engine.route_frame(frame, mask=object())
 
 
 class TestRegistryIsTheChoicesSource:
@@ -214,4 +176,4 @@ class TestRegistryIsTheChoicesSource:
         assert _backend_choices() == backend_names() + ["auto"]
 
     def test_registry_keys_match_spec_names(self):
-        assert all(name == _REGISTRY[name].name for name in _REGISTRY)
+        assert all(name == BACKENDS[name].name for name in BACKENDS)

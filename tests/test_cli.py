@@ -93,16 +93,28 @@ class TestRouteBackend:
         assert main(["route", "8", "--backend", "bnb", "--fast"]) == 2
         assert "--backend" in capsys.readouterr().err
 
+    def test_backend_and_other_network_conflict_exits_2(self, capsys):
+        assert main(
+            ["route", "8", "--network", "batcher", "--backend", "msorter",
+             "--json"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'batcher'" in captured.err
+
     def test_unknown_backend_rejected_by_argparse(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["route", "8", "--backend", "nope"])
+        for retired in ("nope", "krbenes", "bnb-object"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["route", "8", "--backend", retired]
+                )
 
     def test_backend_choices_cover_registry_plus_auto(self):
         from repro.backends import backend_names
 
         parser = build_parser()
-        args = parser.parse_args(["route", "8", "--backend", "krbenes"])
-        assert args.backend == "krbenes"
+        args = parser.parse_args(["route", "8", "--backend", "msorter"])
+        assert args.backend == "msorter"
         for name in backend_names() + ["auto"]:
             parser.parse_args(["route", "8", "--backend", name])
 
@@ -119,7 +131,7 @@ class TestRouteBackend:
             for engine in ("object", "vector") + tuple(backend_names()):
                 args = parser.parse_args([command, "8", "--engine", engine])
                 assert args.engine == engine
-            for retired in ("batch", "auto", "warp"):
+            for retired in ("batch", "auto", "warp", "krbenes", "bnb-object"):
                 with pytest.raises(SystemExit):
                     parser.parse_args([command, "8", "--engine", retired])
 

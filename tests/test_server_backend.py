@@ -1,7 +1,6 @@
-"""Serving on registered backends: pinned engines and prewarm.
+"""Serving on the backends: pinned engines and prewarm.
 
-``engine="bnb"`` / ``"krbenes"`` / ``"msorter"`` pin a registered
-backend, and the compile-once caches are warm before the first frame —
+``engine="bnb"`` / ``"msorter"`` pin a serving backend, and the compile-once caches are warm before the first frame —
 a server boot pays the cold start, traffic never does.
 """
 
@@ -43,13 +42,13 @@ class TestConfigValidation:
             _config("warp-drive")
 
     def test_backend_engines_have_no_resilient_variant(self):
-        for engine in ("bnb", "msorter", "krbenes"):
+        for engine in ("bnb", "msorter"):
             with pytest.raises(ValueError, match="no resilient variant"):
                 GatewayConfig(m=3, engine=engine, resilient=True)
 
 
 class TestPinnedBackendServing:
-    @pytest.mark.parametrize("engine", ["krbenes", "msorter"])
+    @pytest.mark.parametrize("engine", ["bnb", "msorter"])
     def test_full_delivery_on_pinned_backend(self, run_async, engine):
         async def scenario():
             async with AsyncGateway(_config(engine)) as gateway:
@@ -152,6 +151,6 @@ class TestPrewarm:
         assert latencies[0] == min(latencies)
 
     def test_standalone_backend_plane_accepts_a_name(self):
-        plane = BackendPlane(0, 3, backend="krbenes")
-        assert plane.backend is compiled_backend("krbenes", 3)
-        assert plane.describe()["backend"] == "krbenes"
+        plane = BackendPlane(0, 3, backend="msorter")
+        assert plane.backend is compiled_backend("msorter", 3)
+        assert plane.describe()["backend"] == "msorter"

@@ -70,9 +70,10 @@ class TestBasics:
             GatewayConfig(m=3, queue_capacity=0)
         with pytest.raises(ValueError):
             GatewayConfig(m=3, engine="simd")
-        # Not engines: the batch plane is spelled "bnb", and the
-        # backend arena runs offline, never at construction.
-        for retired in ("batch", "auto"):
+        # Not engines: the batch plane is spelled "bnb", the backend
+        # arena runs offline, never at construction, and krbenes /
+        # bnb-object are analysis routers, not serving backends.
+        for retired in ("batch", "auto", "krbenes", "bnb-object"):
             with pytest.raises(ValueError):
                 GatewayConfig(m=3, engine=retired)
         # The resilient wrapper is engine-agnostic: combining it with
