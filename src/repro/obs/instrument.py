@@ -280,9 +280,9 @@ class GatewayInstrumentation:
     # ------------------------------------------------------------------
     # Observer hooks (the gateway calls these; keep them O(1) per frame)
     # ------------------------------------------------------------------
-    def on_reject(self, entry, error) -> None:
+    def on_reject(self, retry_after_cycles: int) -> None:
         self._rejects.inc()
-        self._retry_after.observe(error.retry_after_cycles)
+        self._retry_after.observe(retry_after_cycles)
 
     def on_dispatch(self, frame, plane, cycle: int) -> None:
         self._dispatches.labels(str(plane.plane_id)).inc()

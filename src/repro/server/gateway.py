@@ -5,7 +5,7 @@
 protocol in :mod:`repro.server.protocol`, which lands here); admitted
 words wait in the virtual output queues; a single clock task runs the
 gateway *cycle*: coalesce frames, dispatch them to the least-loaded
-ready plane, step every plane, resolve the futures of delivered words.
+ready plane, step every plane, resolve the batches of delivered words.
 
 Because all fabric work is pure CPU and all shared state is touched
 only between awaits, the gateway needs no locks — the event loop is the
@@ -20,7 +20,7 @@ import asyncio
 import dataclasses
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 import numpy as np
 
@@ -206,21 +206,25 @@ class BatchResult:
 
 
 class _BatchTracker:
-    """Gateway-internal progress of one in-flight batch.
+    """Gateway-internal progress of one in-flight batch (a ``send`` is
+    a batch of one).
 
-    ``open`` stays true while :meth:`AsyncGateway.send_batch` is still
+    ``open`` stays true while :meth:`AsyncGateway._deliver` is still
     admitting (including its retry rounds), so a batch whose early
     words all land before the last words are admitted does not fire its
     future prematurely.
     """
 
-    __slots__ = ("result", "future", "pending", "open")
+    __slots__ = ("result", "future", "pending", "open", "requeues")
 
     def __init__(self, result: BatchResult, future: "asyncio.Future") -> None:
         self.result = result
         self.future = future
         self.pending = 0
         self.open = True
+        #: Times a dying plane sent one of this batch's words back to
+        #: the queues (a one-word ``send`` reports it on its Receipt).
+        self.requeues = 0
 
 
 class AsyncGateway:
@@ -342,9 +346,9 @@ class AsyncGateway:
                 await task
             except asyncio.CancelledError:
                 pass
+        self.voqs.drain_all()
         self._fail_stranded(
-            self.voqs.drain_all(),
-            GatewayClosedError("shut down with words still queued"),
+            GatewayClosedError("shut down with words still queued")
         )
         for target, future in self._cycle_waiters:
             if not future.done():
@@ -404,45 +408,51 @@ class AsyncGateway:
         payload: Any = None,
         tenant: Optional[str] = None,
     ) -> Receipt:
-        """Admit one word and await its delivery receipt.
+        """Admit one word as a one-word batch and await its receipt.
 
-        *tenant* names the word's QoS class when the gateway was
-        configured with :attr:`GatewayConfig.tenants`; unnamed words
-        ride the ``"default"`` class and the field is inert (stored,
-        never consulted) on an untenanted gateway.
+        The word takes the same admission and delivery path as
+        :meth:`send_batch`; the :class:`Receipt` is built from the
+        one-entry :class:`BatchResult`, with *payload* echoed back
+        unchanged (the gateway never stores it).  *tenant* names the
+        word's QoS class when the gateway was configured with
+        :attr:`GatewayConfig.tenants`; unnamed words ride the
+        ``"default"`` class and the field is inert (stored, never
+        consulted) on an untenanted gateway.
 
-        Raises :class:`AdmissionRejectedError` (with a retry-after hint
-        in cycles) under backpressure, :class:`InputError` for a bad
-        destination, :class:`GatewayClosedError` when not serving.
+        Raises, in this order: :class:`GatewayClosedError` when not
+        serving, :class:`InputError` for a bad destination,
+        :class:`PlaneUnavailableError` when no plane is healthy, and
+        :class:`AdmissionRejectedError` (with a retry-after hint in
+        cycles) when draining or under backpressure.  A word stranded
+        by ``stop(drain=False)`` fails with :class:`GatewayClosedError`.
         """
-        if not self._accepting:
-            raise GatewayClosedError()
-        if not 0 <= destination < self.n:
-            raise InputError(
-                f"destination {destination} out of range for N={self.n}"
-            )
+        self._admission_prologue(
+            [] if 0 <= destination < self.n else [destination]
+        )
         if self._draining:
-            hint = self._drain_hint_cycles()
             raise AdmissionRejectedError(
-                destination, self.voqs.depth(destination), hint
+                destination,
+                self.voqs.depth(destination),
+                self._drain_hint_cycles(),
             )
-        if not any(plane.healthy for plane in self.planes):
-            raise PlaneUnavailableError(len(self.planes))
-        entry = QueueEntry(
+        # _deliver admits before its first await, so the word is
+        # enqueued at this cycle.
+        enqueued_cycle = self.cycle
+        tracker = await self._deliver([destination], 0, tenant)
+        result = tracker.result
+        if not result.statuses[0]:
+            hint = int(result.retry_after[0])
+            raise AdmissionRejectedError(destination, hint, hint)
+        return Receipt(
             destination=destination,
             payload=payload,
-            enqueued_cycle=self.cycle,
-            future=asyncio.get_running_loop().create_future(),
-            tenant=tenant if tenant is not None else DEFAULT_TENANT,
+            plane_id=int(result.planes[0]),
+            frame_tag=int(result.frames[0]),
+            enqueued_cycle=enqueued_cycle,
+            delivered_cycle=enqueued_cycle + int(result.latencies[0]),
+            mode=result.mode_table[int(result.modes[0])],
+            requeues=tracker.requeues,
         )
-        try:
-            self.voqs.admit(entry)  # raises AdmissionRejectedError when full
-        except AdmissionRejectedError as error:
-            if self.observer is not None:
-                self.observer.on_reject(entry, error)
-            raise
-        self._work.set()
-        return await entry.future
 
     async def send_with_retry(
         self,
@@ -469,7 +479,7 @@ class AsyncGateway:
     async def send_batch(
         self,
         destinations: Any,
-        payloads: Optional[Sequence[Any]] = None,
+        *,
         retry_attempts: int = 0,
         tenant: Optional[str] = None,
     ) -> BatchResult:
@@ -507,36 +517,56 @@ class AsyncGateway:
                 f"retry_attempts must be >= 0, got {retry_attempts}"
             )
         count = int(dests.shape[0])
-        result = BatchResult(count)
         if count == 0:
-            return result
-        bad = (dests < 0) | (dests >= self.n)
-        if bad.any():
-            raise InputError(
-                f"destinations {dests[bad][:8].tolist()} out of range "
-                f"for N={self.n}"
-            )
-        if not any(plane.healthy for plane in self.planes):
-            raise PlaneUnavailableError(len(self.planes))
-        if payloads is not None and len(payloads) != count:
-            raise InputError(
-                f"got {len(payloads)} payloads for {count} destinations"
-            )
+            return BatchResult(0)
+        self._admission_prologue(
+            dests[(dests < 0) | (dests >= self.n)][:8].tolist()
+        )
         if self._draining:
             # A draining gateway bounces the whole batch with hints but
             # still returns a well-formed result: statuses stay 0.
+            result = BatchResult(count)
             result.retry_after[:] = self._drain_hint_cycles()
             return result
+        # One C pass beats a per-word int() each.
+        tracker = await self._deliver(dests.tolist(), retry_attempts, tenant)
+        return tracker.result
+
+    def _admission_prologue(self, out_of_range: List[int]) -> None:
+        """The checks :meth:`send` and :meth:`send_batch` share, in one
+        order: closed gateway, out-of-range destinations, no healthy
+        plane.  Draining comes after, so a node with no healthy plane
+        reports ``plane-unavailable`` — the slug a cluster client fails
+        over on — rather than a retry hint it would wait out forever."""
+        if not self._accepting:
+            raise GatewayClosedError()
+        if out_of_range:
+            raise InputError(
+                f"destinations {out_of_range} out of range for N={self.n}"
+            )
+        if not any(plane.healthy for plane in self.planes):
+            raise PlaneUnavailableError(len(self.planes))
+
+    async def _deliver(
+        self, dests: List[int], retry_attempts: int, tenant: Optional[str]
+    ) -> _BatchTracker:
+        """Admit *dests* as one tracked batch and await its delivery.
+
+        The only admission and delivery path: every queued word is a
+        ``(tracker, index)`` pair, resolved once per frame by
+        :meth:`_resolve` and failed as a unit by :meth:`_fail_stranded`.
+        The first round is admitted before the first await.
+        """
+        count = len(dests)
+        result = BatchResult(count)
         tracker = _BatchTracker(
             result, asyncio.get_running_loop().create_future()
         )
         self._batch_trackers.add(tracker)
-        dest_list = dests.tolist()  # one C pass beats a per-word int() each
-        payload_list = None if payloads is None else list(payloads)
         tenant_name = tenant if tenant is not None else DEFAULT_TENANT
         try:
             rejected = self._admit_batch_round(
-                tracker, dest_list, payload_list, range(count), tenant_name
+                tracker, dests, range(count), tenant_name
             )
             for _attempt in range(retry_attempts):
                 if not rejected:
@@ -558,13 +588,14 @@ class AsyncGateway:
                 # a word accepted on retry keeps hint 0 from here.
                 result.retry_after[rejected] = 0
                 rejected = self._admit_batch_round(
-                    tracker, dest_list, payload_list, rejected, tenant_name
+                    tracker, dests, rejected, tenant_name
                 )
             tracker.open = False
             if tracker.pending == 0 and not tracker.future.done():
                 tracker.future.set_result(result)
             self._work.set()
-            return await tracker.future
+            await tracker.future
+            return tracker
         finally:
             self._batch_trackers.discard(tracker)
 
@@ -572,9 +603,8 @@ class AsyncGateway:
         self,
         tracker: _BatchTracker,
         dests: List[int],
-        payloads: Optional[Sequence[Any]],
         indices: Any,
-        tenant: str = DEFAULT_TENANT,
+        tenant: str,
     ) -> List[int]:
         """Offer the words at *indices* to the VOQs; return the rejects.
 
@@ -582,35 +612,14 @@ class AsyncGateway:
         last admission of a round, so deliveries cannot interleave with
         the bookkeeping.
         """
-        result = tracker.result
+        retry_after = tracker.result.retry_after
         admitted, rejected = self.voqs.admit_batch(
-            dests,
-            payloads,
-            self.cycle,
-            tracker,
-            result.retry_after,
-            indices,
-            tenant,
+            dests, self.cycle, tracker, retry_after, indices, tenant
         )
         tracker.pending += admitted
         if rejected and self.observer is not None:
-            retry_after = result.retry_after
             for index in rejected:
-                destination = dests[index]
-                hint = int(retry_after[index])
-                self.observer.on_reject(
-                    QueueEntry(
-                        destination,
-                        None if payloads is None else payloads[index],
-                        self.cycle,
-                        None,
-                        0,
-                        tracker,
-                        index,
-                        tenant,
-                    ),
-                    AdmissionRejectedError(destination, hint, hint),
-                )
+                self.observer.on_reject(int(retry_after[index]))
         self._work.set()
         return rejected
 
@@ -626,18 +635,26 @@ class AsyncGateway:
         return await future
 
     def kill_plane(self, plane_id: int, reason: str = "operator kill") -> int:
-        """Fail one plane; its in-flight words requeue.  Returns how many."""
-        plane = self.planes[plane_id]
+        """Fail one plane; its in-flight words requeue.  Returns how many.
+
+        Raises :class:`InputError` for a plane id out of range.
+        """
+        plane = self._plane(plane_id)
         was_healthy = plane.healthy
         stranded = plane.kill(reason=reason)
-        self.voqs.requeue_front(stranded)
-        if self.observer is not None:
-            if stranded:
-                self.observer.on_requeue(plane, stranded)
-            if was_healthy:
-                self.observer.on_plane_killed(plane)
+        self._requeue(plane, stranded)
+        if self.observer is not None and was_healthy:
+            self.observer.on_plane_killed(plane)
         self._work.set()
         return len(stranded)
+
+    def _plane(self, plane_id: int) -> Any:
+        if not 0 <= plane_id < len(self.planes):
+            raise InputError(
+                f"plane {plane_id} out of range "
+                f"({len(self.planes)} plane(s))"
+            )
+        return self.planes[plane_id]
 
     def inject_fault(
         self, plane_id: int, coordinate: Any, value: int
@@ -653,12 +670,7 @@ class AsyncGateway:
         """
         from ..faults.injector import SwitchCoordinate
 
-        if not 0 <= plane_id < len(self.planes):
-            raise InputError(
-                f"plane {plane_id} out of range "
-                f"({len(self.planes)} plane(s))"
-            )
-        plane = self.planes[plane_id]
+        plane = self._plane(plane_id)
         fabric = getattr(plane, "fabric", None)
         inject = getattr(fabric, "inject_stuck_control", None)
         if inject is None:
@@ -670,16 +682,24 @@ class AsyncGateway:
         self._work.set()
         return plane.describe()
 
-    def _fail_stranded(self, entries: List[QueueEntry], failure: Exception) -> None:
-        """Fail every stranded waiter: per-word futures and whole batches.
+    def _requeue(self, plane: Any, entries: List[QueueEntry]) -> None:
+        """Put a plane's stranded words back at the head of their queues."""
+        if not entries:
+            return
+        self.voqs.requeue_front(entries)
+        for entry in entries:
+            if entry.batch is not None:
+                entry.batch.requeues += 1
+        if self.observer is not None:
+            self.observer.on_requeue(plane, entries)
+
+    def _fail_stranded(self, failure: Exception) -> None:
+        """Fail every batch still waiting, one exception per batch.
 
         A batch tracker fails as a unit — one exception wakes its
-        ``send_batch`` — because its preallocated result is meaningless
-        once any of its words can no longer be delivered.
+        ``send`` / ``send_batch`` — because its preallocated result is
+        meaningless once any of its words can no longer be delivered.
         """
-        for entry in entries:
-            if entry.future is not None and not entry.future.done():
-                entry.future.set_exception(failure)
         for tracker in list(self._batch_trackers):
             if not tracker.future.done():
                 tracker.future.set_exception(failure)
@@ -714,10 +734,10 @@ class AsyncGateway:
             # loudly instead and refuse further traffic.
             self._accepting = False
             failure = GatewayClosedError(f"clock task crashed: {error!r}")
-            stranded = self.voqs.drain_all()
+            self.voqs.drain_all()
             for plane in self.planes:
-                stranded.extend(plane.kill(reason="clock crash"))
-            self._fail_stranded(stranded, failure)
+                plane.kill(reason="clock crash")
+            self._fail_stranded(failure)
             for _target, future in self._cycle_waiters:
                 if not future.done():
                     future.set_exception(failure)
@@ -752,10 +772,7 @@ class AsyncGateway:
             completed, requeue = plane.step()
             for completion in completed:
                 self._resolve(completion)
-            if requeue:
-                self.voqs.requeue_front(requeue)
-                if self.observer is not None:
-                    self.observer.on_requeue(plane, requeue)
+            self._requeue(plane, requeue)
             # A plane that was healthy entering the tick and is not now
             # was killed by its own step(); report it exactly once.
             if not plane.healthy and self.observer is not None:
@@ -791,7 +808,7 @@ class AsyncGateway:
         # latencies group by tracker, then land in the preallocated
         # result arrays as a handful of fancy-indexed stores.
         groups: Dict[Any, Any] = {}
-        for destination, entry in entries.items():
+        for entry in entries.values():
             latency = cycle - entry.enqueued_cycle
             if latency > worst_latency:
                 worst_latency = latency
@@ -811,19 +828,6 @@ class AsyncGateway:
                     groups[tracker] = group = ([], [])
                 group[0].append(entry.batch_index)
                 group[1].append(latency)
-            elif entry.future is not None and not entry.future.done():
-                entry.future.set_result(
-                    Receipt(
-                        destination=destination,
-                        payload=entry.payload,
-                        plane_id=plane_id,
-                        frame_tag=tag,
-                        enqueued_cycle=entry.enqueued_cycle,
-                        delivered_cycle=cycle,
-                        mode=mode,
-                        requeues=entry.requeues,
-                    )
-                )
         for tracker, (indices, latencies) in groups.items():
             result = tracker.result
             result.statuses[indices] = 1

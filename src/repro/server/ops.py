@@ -301,14 +301,6 @@ async def _op_send_batch(server: Any, request: Dict[str, Any]) -> Dict[str, Any]
             f"'dests' must be a list (or int64 array) of outputs, "
             f"got {type(dests).__name__}"
         )
-    payloads = request.get("payloads")
-    if payloads is not None and (
-        not isinstance(payloads, (list, tuple))
-        or len(payloads) != len(destinations)
-    ):
-        raise InputError(
-            "'payloads' must be a list as long as 'dests' when present"
-        )
     attempts = request.get("retry", 0)
     if attempts is True:
         attempts = 16
@@ -319,7 +311,6 @@ async def _op_send_batch(server: Any, request: Dict[str, Any]) -> Dict[str, Any]
         )
     result = await server.gateway.send_batch(
         destinations,
-        payloads,
         retry_attempts=attempts,
         tenant=_tenant_field(request),
     )

@@ -65,52 +65,70 @@ def validate_tenants(
 class QueueEntry:
     """One admitted word waiting for (or riding) a frame.
 
-    ``future`` is set by the asyncio gateway so the submitting client
-    can await the delivery receipt; the synchronous benchmark harness
-    leaves it ``None``.  Words admitted through the batch path carry
-    their batch tracker in ``batch`` and their position in the batch in
-    ``batch_index`` instead of a per-word future — delivery fills the
-    tracker's preallocated result arrays at ``batch_index`` and the
-    tracker's single future fires when the whole batch has landed.
+    Every queued word is a ``(batch, batch_index)`` pair: ``batch`` is
+    the gateway's batch tracker and ``batch_index`` the word's position
+    in that batch.  Delivery fills the tracker's preallocated result
+    arrays at ``batch_index``, and the tracker's single future fires
+    when the whole batch has landed — a one-word ``send`` is a batch of
+    one.  The entry holds no payload and no future of its own.  The
+    synchronous benchmark harness admits words with ``batch=None``.
     (Two plain fields, not a tuple: the admission loop builds one entry
     per word, so even a tuple allocation shows up at full load.)
     """
 
     destination: int
-    payload: Any
     enqueued_cycle: int
-    future: Any = None
     requeues: int = 0
     batch: Any = None
     batch_index: int = 0
     tenant: str = DEFAULT_TENANT
 
 
-class _TenantState:
-    """Tenant registry shared by every destination's :class:`_TenantQueue`.
+class _TenantRow:
+    """One tenant's weight plus its admission and service counters."""
 
-    Weights are global (a tenant has one weight, not one per output);
-    the service/rescue counters feed the fairness accounting surfaced
-    in ``stats`` and the ``repro_tenant_*`` metrics.  Tenants unknown at
-    construction auto-register with weight 1 on their first word, so a
-    misconfigured client degrades to best-effort instead of erroring.
+    __slots__ = (
+        "weight", "offered", "accepted", "rejected", "requeued", "served",
+        "rescues",
+    )
+
+    def __init__(self, weight: int) -> None:
+        self.weight = weight
+        self.offered = 0
+        self.accepted = 0
+        self.rejected = 0
+        self.requeued = 0
+        self.served = 0
+        self.rescues = 0
+
+
+class _TenantState:
+    """The one per-tenant row store, shared by every destination's
+    :class:`_TenantQueue`.
+
+    Weights are global (a tenant has one weight, not one per output).
+    A tenant unknown at construction registers with weight 1 the first
+    time one of its words is offered — accepted or not — so a
+    misconfigured client degrades to best-effort instead of erroring,
+    and its rejected words still show up in ``stats`` and the
+    ``repro_tenant_*`` metrics.
     """
 
-    __slots__ = ("weights", "starvation_cycles", "served", "rescues")
+    __slots__ = ("rows", "starvation_cycles")
 
     def __init__(
         self, weights: Mapping[str, int], starvation_cycles: int
     ) -> None:
-        self.weights: Dict[str, int] = dict(weights)
+        self.rows: Dict[str, _TenantRow] = {
+            name: _TenantRow(weight) for name, weight in weights.items()
+        }
         self.starvation_cycles = starvation_cycles
-        self.served: Dict[str, int] = {name: 0 for name in self.weights}
-        self.rescues: Dict[str, int] = {name: 0 for name in self.weights}
 
-    def ensure(self, tenant: str) -> None:
-        if tenant not in self.weights:
-            self.weights[tenant] = 1
-            self.served[tenant] = 0
-            self.rescues[tenant] = 0
+    def row(self, tenant: str) -> _TenantRow:
+        row = self.rows.get(tenant)
+        if row is None:
+            row = self.rows[tenant] = _TenantRow(1)
+        return row
 
 
 class _TenantQueue:
@@ -155,7 +173,6 @@ class _TenantQueue:
     def _fifo(self, tenant: str) -> Deque[QueueEntry]:
         fifo = self._fifos.get(tenant)
         if fifo is None:
-            self._state.ensure(tenant)
             fifo = self._fifos[tenant] = deque()
             self._credit[tenant] = 0
         return fifo
@@ -189,13 +206,13 @@ class _TenantQueue:
         if len(backlogged) == 1:
             pick = backlogged[0]
         else:
-            weights = state.weights
+            rows = state.rows
             credit = self._credit
             total = 0
             pick = backlogged[0]
             best: Optional[int] = None
             for tenant in backlogged:
-                weight = weights[tenant]
+                weight = rows[tenant].weight
                 total += weight
                 value = credit[tenant] + weight
                 credit[tenant] = value
@@ -211,7 +228,7 @@ class _TenantQueue:
                 and fifos[oldest][0].enqueued_cycle + state.starvation_cycles
                 < fifos[pick][0].enqueued_cycle
             ):
-                state.rescues[oldest] += 1
+                state.rows[oldest].rescues += 1
                 pick = oldest
             credit[pick] -= total
         fifo = fifos[pick]
@@ -219,7 +236,7 @@ class _TenantQueue:
         if not fifo:
             self._credit[pick] = 0
         self._len -= 1
-        state.served[pick] += 1
+        state.rows[pick].served += 1
         return entry
 
 
@@ -248,17 +265,11 @@ class VirtualOutputQueues:
         self.capacity = capacity
         if tenants is None:
             self._tenant_state: Optional[_TenantState] = None
-            self._tenant_admission: Optional[Dict[str, Dict[str, int]]] = None
             self._queues: List[Deque[QueueEntry]] = [
                 deque() for _ in range(n)
             ]
         else:
             self._tenant_state = _TenantState(tenants, starvation_cycles)
-            self._tenant_admission = {
-                name: {"offered": 0, "accepted": 0, "rejected": 0,
-                       "requeued": 0}
-                for name in tenants
-            }
             self._queues = [
                 _TenantQueue(self._tenant_state) for _ in range(n)
             ]
@@ -277,71 +288,47 @@ class VirtualOutputQueues:
         ``None`` when tenant scheduling is off."""
         if self._tenant_state is None:
             return None
-        return dict(self._tenant_state.weights)
-
-    def _tenant_row(self, tenant: str) -> Dict[str, int]:
-        assert self._tenant_admission is not None
-        row = self._tenant_admission.get(tenant)
-        if row is None:
-            row = self._tenant_admission[tenant] = {
-                "offered": 0, "accepted": 0, "rejected": 0, "requeued": 0
-            }
-        return row
+        return {
+            name: row.weight
+            for name, row in self._tenant_state.rows.items()
+        }
 
     # ------------------------------------------------------------------
     # Admission
     # ------------------------------------------------------------------
-    def admit(self, entry: QueueEntry) -> None:
-        """Enqueue *entry* or raise :class:`AdmissionRejectedError`.
+    def admit(
+        self,
+        destination: int,
+        cycle: int,
+        *,
+        tenant: str = DEFAULT_TENANT,
+        tracker: Any = None,
+        index: int = 0,
+    ) -> None:
+        """Enqueue one word or raise :class:`AdmissionRejectedError`.
 
-        The retry-after hint is the queue's current depth: the fabric
-        drains at most one word per destination per frame, so a full
-        queue needs at least ``depth`` cycles before a slot frees.
+        A one-word call into :meth:`admit_batch`: the word is position
+        *index* of *tracker*'s batch, enqueued at *cycle*.  The
+        retry-after hint is the queue's current depth: the fabric drains
+        at most one word per destination per frame, so a full queue
+        needs at least ``depth`` cycles before a slot frees.  A
+        destination with no queue is rejected without being counted as
+        offered.
         """
-        rejection = self.try_admit(entry)
-        if rejection is not None:
-            raise rejection
-
-    def try_admit(self, entry: QueueEntry) -> Optional[AdmissionRejectedError]:
-        """Enqueue *entry*; return the rejection instead of raising.
-
-        The batch admission loop calls this once per word — building
-        and unwinding an exception per rejected word would dominate an
-        overloaded batch's cost, so rejections come back as values.
-        """
-        self.offered += 1
-        row = (
-            self._tenant_row(entry.tenant)
-            if self._tenant_admission is not None
-            else None
+        if not 0 <= destination < self.n:
+            raise AdmissionRejectedError(destination, 0, 0)
+        hints: Dict[int, int] = {}
+        _admitted, rejected = self.admit_batch(
+            {index: destination}, cycle, tracker, hints, (index,), tenant
         )
-        if row is not None:
-            row["offered"] += 1
-        if not 0 <= entry.destination < self.n:
-            self.rejected += 1
-            if row is not None:
-                row["rejected"] += 1
-            return AdmissionRejectedError(entry.destination, 0, 0)
-        queue = self._queues[entry.destination]
-        depth = len(queue)
-        if depth >= self.capacity:
-            self.rejected += 1
-            if row is not None:
-                row["rejected"] += 1
-            return AdmissionRejectedError(entry.destination, depth, depth)
-        queue.append(entry)
-        self.accepted += 1
-        if row is not None:
-            row["accepted"] += 1
-        self._queued += 1
-        if depth + 1 > self.max_depth:
-            self.max_depth = depth + 1
-        return None
+        if rejected:
+            raise AdmissionRejectedError(
+                destination, hints[index], hints[index]
+            )
 
     def admit_batch(
         self,
-        dests: List[int],
-        payloads: Optional[List[Any]],
+        dests: Any,
         cycle: int,
         tracker: Any,
         retry_after: Any,
@@ -350,17 +337,18 @@ class VirtualOutputQueues:
     ) -> Tuple[int, List[int]]:
         """Admit the batch words at *indices*; return ``(admitted, rejected)``.
 
-        The whole admission loop lives here so the per-word cost is a
-        capacity check and a deque append with every lookup hoisted —
-        no per-word method call, no per-word exception.  Rejected
-        indices get their depth written into the *retry_after* array
-        (the same hint :meth:`admit` raises); accepted indices are
-        **not** cleared — the caller zeroes the hints of any indices it
-        re-offers (a fresh batch's array starts zeroed), keeping the
-        accept path free of per-word numpy stores.  The caller owns
-        observer notification and any retry rounds.  Destinations must
-        already be range-checked (the gateway validates the whole array
-        in one vectorized pass).
+        The word at ``index`` goes to ``dests[index]`` and is queued as
+        ``(tracker, index)``.  The whole admission loop lives here so
+        the per-word cost is a capacity check and a deque append with
+        every lookup hoisted — no per-word method call, no per-word
+        exception.  Rejected indices get their depth written into
+        ``retry_after[index]`` (the same hint :meth:`admit` raises);
+        accepted indices are **not** cleared — the caller zeroes the
+        hints of any indices it re-offers (a fresh batch's array starts
+        zeroed), keeping the accept path free of per-word numpy stores.
+        The caller owns observer notification and any retry rounds.
+        Destinations must already be range-checked (the gateway
+        validates the whole array in one vectorized pass).
         """
         queues = self._queues
         capacity = self.capacity
@@ -369,53 +357,29 @@ class VirtualOutputQueues:
         admitted = 0
         rejected: List[int] = []
         rejected_append = rejected.append
-        if payloads is None:
-            for index in indices:
-                dest = dests[index]
-                queue = queues[dest]
-                depth = len(queue)
-                if depth < capacity:
-                    queue.append(
-                        entry_cls(
-                            dest, None, cycle, None, 0, tracker, index,
-                            tenant,
-                        )
-                    )
-                    admitted += 1
-                    if depth >= max_depth:
-                        max_depth = depth + 1
-                else:
-                    retry_after[index] = depth
-                    rejected_append(index)
-        else:
-            for index in indices:
-                dest = dests[index]
-                queue = queues[dest]
-                depth = len(queue)
-                if depth < capacity:
-                    queue.append(
-                        entry_cls(
-                            dest, payloads[index], cycle, None, 0,
-                            tracker, index, tenant,
-                        )
-                    )
-                    admitted += 1
-                    if depth >= max_depth:
-                        max_depth = depth + 1
-                else:
-                    retry_after[index] = depth
-                    rejected_append(index)
+        for index in indices:
+            dest = dests[index]
+            queue = queues[dest]
+            depth = len(queue)
+            if depth < capacity:
+                queue.append(entry_cls(dest, cycle, 0, tracker, index, tenant))
+                admitted += 1
+                if depth >= max_depth:
+                    max_depth = depth + 1
+            else:
+                retry_after[index] = depth
+                rejected_append(index)
         self.max_depth = max_depth
         offered = admitted + len(rejected)
         self.offered += offered
         self.accepted += admitted
         self.rejected += len(rejected)
         self._queued += admitted
-        if self._tenant_admission is not None:
-            row = self._tenant_row(tenant)
-            row["offered"] += offered
-            row["accepted"] += admitted
-            row["rejected"] += len(rejected)
+        if self._tenant_state is not None:
+            row = self._tenant_state.row(tenant)
+            row.offered += offered
+            row.accepted += admitted
+            row.rejected += len(rejected)
         return admitted, rejected
 
     def requeue_front(self, entries: List[QueueEntry]) -> None:
@@ -431,8 +395,8 @@ class VirtualOutputQueues:
             self._queues[entry.destination].appendleft(entry)
             self.requeued += 1
             self._queued += 1
-            if self._tenant_admission is not None:
-                self._tenant_row(entry.tenant)["requeued"] += 1
+            if self._tenant_state is not None:
+                self._tenant_state.row(entry.tenant).requeued += 1
             self.max_depth = max(
                 self.max_depth, len(self._queues[entry.destination])
             )
@@ -500,23 +464,25 @@ class VirtualOutputQueues:
         the age guard to intervene.
         """
         state = self._tenant_state
-        if state is None or self._tenant_admission is None:
+        if state is None:
             return None
-        queued: Dict[str, int] = {name: 0 for name in state.weights}
+        queued: Dict[str, int] = {}
         for queue in self._queues:
             for tenant, depth in queue.tenant_depths().items():  # type: ignore[union-attr]
                 queued[tenant] = queued.get(tenant, 0) + depth
-        rows: Dict[str, Dict[str, Any]] = {}
-        for tenant in state.weights:
-            admission = self._tenant_row(tenant)
-            rows[tenant] = {
-                "weight": state.weights[tenant],
+        return {
+            tenant: {
+                "weight": row.weight,
                 "queued": queued.get(tenant, 0),
-                "served": state.served[tenant],
-                "starvation_rescues": state.rescues[tenant],
-                **admission,
+                "served": row.served,
+                "starvation_rescues": row.rescues,
+                "offered": row.offered,
+                "accepted": row.accepted,
+                "rejected": row.rejected,
+                "requeued": row.requeued,
             }
-        return rows
+            for tenant, row in state.rows.items()
+        }
 
     def snapshot(self) -> Dict[str, Any]:
         depths = self.depths()

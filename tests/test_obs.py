@@ -23,7 +23,7 @@ from repro.obs import (
     set_registry,
 )
 from repro.obs.snapshot import dump_json, sanitize
-from repro.server import AsyncGateway, GatewayConfig, QueueEntry
+from repro.server import AsyncGateway, GatewayConfig
 
 
 class TestRegistrySemantics:
@@ -317,13 +317,7 @@ def _drive(gateway, words=64, seed=7):
     while pushed < words and guard < 10_000:
         guard += 1
         try:
-            gateway.voqs.admit(
-                QueueEntry(
-                    destination=rng.randrange(gateway.n),
-                    payload=None,
-                    enqueued_cycle=gateway.cycle,
-                )
-            )
+            gateway.voqs.admit(rng.randrange(gateway.n), gateway.cycle)
             pushed += 1
         except AdmissionRejectedError:
             pass
@@ -412,13 +406,7 @@ class TestGatewayInstrumentation:
                 # Fill destination 1's single slot, then send to it with
                 # no intervening await: the clock task cannot run in
                 # between, so the rejection is deterministic.
-                gateway.voqs.admit(
-                    QueueEntry(
-                        destination=1,
-                        payload=None,
-                        enqueued_cycle=gateway.cycle,
-                    )
-                )
+                gateway.voqs.admit(1, gateway.cycle)
                 with pytest.raises(AdmissionRejectedError):
                     await gateway.send(1)
             return instr

@@ -94,10 +94,6 @@ class TestSendBatch:
                     await gateway.send_batch(
                         np.array([1]), retry_attempts=-1
                     )
-                with pytest.raises(InputError, match="payloads"):
-                    await gateway.send_batch(
-                        np.array([1, 2]), payloads=["only-one"]
-                    )
 
         run_async(scenario())
 

@@ -15,6 +15,7 @@ from repro.exceptions import (
     AdmissionRejectedError,
     GatewayClosedError,
     InputError,
+    PlaneUnavailableError,
 )
 from repro.faults import SwitchCoordinate, fault_mask_for
 from repro.server import (
@@ -501,6 +502,39 @@ class TestPlaneFailure:
 
         run_async(scenario())
 
+    def test_kill_plane_rejects_bad_ids(self, run_async):
+        async def scenario():
+            async with AsyncGateway(GatewayConfig(m=3, planes=2)) as gateway:
+                # Negative ids must not wrap around to the last plane.
+                for plane_id in (-1, 2):
+                    with pytest.raises(InputError, match="out of range"):
+                        gateway.kill_plane(plane_id)
+                return [plane.healthy for plane in gateway.planes]
+
+        assert run_async(scenario()) == [True, True]
+
+    def test_receipt_counts_requeues_from_a_killed_plane(self, run_async):
+        async def scenario():
+            config = GatewayConfig(m=3, planes=2, engine="object")
+            async with AsyncGateway(config) as gateway:
+                task = asyncio.ensure_future(gateway.send(6, payload="p"))
+                while not any(plane.load for plane in gateway.planes):
+                    await asyncio.sleep(0)
+                carrier = next(
+                    plane.plane_id for plane in gateway.planes if plane.load
+                )
+                assert gateway.kill_plane(carrier) == 1
+                return carrier, await task
+
+        carrier, receipt = run_async(scenario())
+        assert receipt.payload == "p"
+        assert receipt.requeues == 1
+        assert receipt.plane_id == 1 - carrier
+        assert receipt.delivered_cycle - receipt.enqueued_cycle >= 1
+        assert receipt.latency_cycles == (
+            receipt.delivered_cycle - receipt.enqueued_cycle
+        )
+
 
 class TestShutdown:
     def test_stop_drains_backlog(self, run_async):
@@ -529,6 +563,37 @@ class TestShutdown:
                 result, (AdmissionRejectedError, GatewayClosedError)
             )
         assert stats["queues"]["queued"] == 0
+
+    def test_stop_without_drain_fails_an_in_flight_send(self, run_async):
+        async def scenario():
+            config = GatewayConfig(m=3, planes=1, engine="object")
+            gateway = await AsyncGateway(config).start()
+            task = asyncio.ensure_future(gateway.send(5))
+            while not gateway.planes[0].load:
+                await asyncio.sleep(0)
+            await gateway.stop(drain=False)
+            # The word is inside the plane, not in a queue: it must
+            # still fail rather than wait forever.
+            with pytest.raises(GatewayClosedError):
+                await asyncio.wait_for(task, 5.0)
+
+        run_async(scenario())
+
+    def test_draining_with_no_healthy_plane_is_plane_unavailable(
+        self, run_async
+    ):
+        async def scenario():
+            async with AsyncGateway(GatewayConfig(m=3, planes=1)) as gateway:
+                gateway.kill_plane(0)
+                gateway.drain()
+                # Both calls report the state a cluster client fails
+                # over on, not a retry hint for a node that never drains.
+                with pytest.raises(PlaneUnavailableError):
+                    await gateway.send(1)
+                with pytest.raises(PlaneUnavailableError):
+                    await gateway.send_batch([1, 2])
+
+        run_async(scenario())
 
     def test_stats_are_json_safe(self, run_async):
         import json

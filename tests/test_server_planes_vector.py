@@ -13,7 +13,6 @@ from repro.server import (
     PipelinedPlane,
     VirtualOutputQueues,
 )
-from repro.server.voq import QueueEntry
 
 pytestmark = pytest.mark.asyncio_suite
 
@@ -29,11 +28,7 @@ def _vector_plane(plane_id, m, **policy):
 
 def _full_frame(scheduler, voqs, n, cycle=1):
     for destination in range(n):
-        voqs.admit(
-            QueueEntry(
-                destination=destination, payload=None, enqueued_cycle=0
-            )
-        )
+        voqs.admit(destination, 0)
     frame = scheduler.next_frame(voqs, cycle)
     assert frame is not None and frame.active == n
     return frame

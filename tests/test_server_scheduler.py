@@ -5,15 +5,13 @@ import pytest
 from repro.core.bnb import BNBNetwork
 from repro.core.traffic import coalesce_frame
 from repro.exceptions import InputError
-from repro.server import FrameScheduler, QueueEntry, VirtualOutputQueues
+from repro.server import FrameScheduler, VirtualOutputQueues
 
 
 def fill_voqs(n, requests, capacity=16):
     voqs = VirtualOutputQueues(n, capacity=capacity)
-    for payload, dest in enumerate(requests):
-        voqs.admit(
-            QueueEntry(destination=dest, payload=payload, enqueued_cycle=0)
-        )
+    for index, dest in enumerate(requests):
+        voqs.admit(dest, 0, index=index)
     return voqs
 
 
@@ -62,7 +60,7 @@ class TestFrameScheduler:
         seen = []
         for cycle in range(3):
             frame = scheduler.next_frame(voqs, cycle=cycle)
-            seen.append(frame.entries[4].payload)
+            seen.append(frame.entries[4].batch_index)
         assert seen == [0, 1, 2]
 
     def test_idle_returns_none(self):

@@ -5,23 +5,13 @@ import asyncio
 
 import pytest
 
-from repro.exceptions import InputError
+from repro.exceptions import AdmissionRejectedError, InputError
 from repro.server import (
     DEFAULT_TENANT,
     AsyncGateway,
     GatewayConfig,
-    QueueEntry,
     VirtualOutputQueues,
 )
-
-
-def entry(dest, tenant=DEFAULT_TENANT, cycle=0, payload=None):
-    return QueueEntry(
-        destination=dest,
-        payload=payload,
-        enqueued_cycle=cycle,
-        tenant=tenant,
-    )
 
 
 class TestTenantQueueScheduling:
@@ -30,8 +20,8 @@ class TestTenantQueueScheduling:
             4, capacity=64, tenants={"gold": 3, "bronze": 1}
         )
         for k in range(16):
-            voqs.admit(entry(0, "gold", cycle=k))
-            voqs.admit(entry(0, "bronze", cycle=k))
+            voqs.admit(0, k, tenant="gold")
+            voqs.admit(0, k, tenant="bronze")
         served = [voqs.pop_heads(1)[0].tenant for _ in range(16)]
         # Smoothed weighted round-robin: exactly weight-proportional
         # service over any window while both classes stay backlogged.
@@ -42,12 +32,12 @@ class TestTenantQueueScheduling:
 
     def test_single_backlogged_class_bypasses_the_scheduler(self):
         voqs = VirtualOutputQueues(4, capacity=8, tenants={"gold": 7})
-        voqs.admit(entry(1, "gold"))
+        voqs.admit(1, 0, tenant="gold")
         assert voqs.pop_heads(1)[0].tenant == "gold"
 
     def test_unknown_tenant_auto_registers_with_weight_one(self):
         voqs = VirtualOutputQueues(4, capacity=8, tenants={"gold": 2})
-        voqs.admit(entry(2, "walkin"))
+        voqs.admit(2, 0, tenant="walkin")
         rows = voqs.tenant_snapshot()
         assert rows["walkin"]["weight"] == 1
         assert rows["walkin"]["queued"] == 1
@@ -60,9 +50,9 @@ class TestTenantQueueScheduling:
             starvation_cycles=10,
         )
         # One ancient bronze word behind a wall of much newer gold.
-        voqs.admit(entry(0, "bronze", cycle=0))
+        voqs.admit(0, 0, tenant="bronze")
         for k in range(64):
-            voqs.admit(entry(0, "gold", cycle=100 + k))
+            voqs.admit(0, 100 + k, tenant="gold")
         first = voqs.pop_heads(1)[0]
         assert first.tenant == "bronze"
         assert voqs.tenant_snapshot()["bronze"]["starvation_rescues"] == 1
@@ -70,20 +60,37 @@ class TestTenantQueueScheduling:
     def test_fifo_order_preserved_within_a_tenant(self):
         voqs = VirtualOutputQueues(4, capacity=16, tenants={"a": 1, "b": 1})
         for k in range(4):
-            voqs.admit(entry(3, "a", cycle=k, payload=f"a{k}"))
+            voqs.admit(3, k, tenant="a", index=k)
         served = []
         while voqs.total:
-            served.extend(e.payload for e in voqs.pop_heads(1))
-        assert served == ["a0", "a1", "a2", "a3"]
+            served.extend(e.batch_index for e in voqs.pop_heads(1))
+        assert served == [0, 1, 2, 3]
 
     def test_requeue_front_returns_to_the_owning_tenant(self):
         voqs = VirtualOutputQueues(4, capacity=16, tenants={"a": 1, "b": 8})
-        voqs.admit(entry(0, "a", cycle=0, payload="head"))
+        voqs.admit(0, 0, tenant="a")
         popped = voqs.pop_heads(1)
         voqs.requeue_front(popped)
         rows = voqs.tenant_snapshot()
         assert rows["a"]["requeued"] == 1
         assert rows["a"]["queued"] == 1
+
+    def test_tenant_rows_sum_to_the_global_counters(self):
+        # An unknown tenant whose words are all rejected still gets a
+        # row: the rows account for every offered word.
+        voqs = VirtualOutputQueues(4, 1, tenants={"gold": 2})
+        hints = [0, 0]
+        for tenant in ("gold", "walkin"):
+            voqs.admit_batch([0, 0], 0, None, hints, range(2), tenant)
+        snap = voqs.snapshot()
+        assert (snap["offered"], snap["accepted"], snap["rejected"]) == (
+            4, 1, 3
+        )
+        rows = snap["tenants"]
+        for key in ("offered", "accepted", "rejected"):
+            assert sum(row[key] for row in rows.values()) == snap[key]
+        assert rows["walkin"]["rejected"] == 2
+        assert voqs.tenants == {"gold": 2, "walkin": 1}
 
     def test_tenant_mode_validates_weights(self):
         with pytest.raises(ValueError):
@@ -101,8 +108,9 @@ class TestTenantQueueScheduling:
 
     def test_snapshot_counts_offered_accepted_per_tenant(self):
         voqs = VirtualOutputQueues(2, capacity=1, tenants={"a": 1})
-        assert voqs.try_admit(entry(0, "a")) is None
-        assert voqs.try_admit(entry(0, "a")) is not None  # full -> reject
+        voqs.admit(0, 0, tenant="a")
+        with pytest.raises(AdmissionRejectedError):  # full -> reject
+            voqs.admit(0, 0, tenant="a")
         rows = voqs.tenant_snapshot()
         assert rows["a"]["offered"] == 2
         assert rows["a"]["accepted"] == 1
