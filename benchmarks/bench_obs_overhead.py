@@ -30,7 +30,8 @@ import random
 import statistics
 import time
 
-from repro.exceptions import AdmissionRejectedError
+import numpy as np
+
 from repro.obs import GatewayInstrumentation, Registry
 from repro.server import AsyncGateway, GatewayConfig
 
@@ -71,12 +72,13 @@ def _cycle_times(gateway: AsyncGateway, seed: int = 1234) -> list:
     for cycle in range(CYCLES):
         credit += LOAD * n
         start = time.perf_counter()
+        arrivals = []
         while credit >= 1.0:
             credit -= 1.0
-            try:
-                gateway.voqs.admit(rng.randrange(n), gateway.cycle)
-            except AdmissionRejectedError:
-                pass
+            arrivals.append(rng.randrange(n))
+        gateway.voqs.admit_batch(
+            np.array(arrivals, dtype=np.int64), gateway.cycle
+        )
         gateway.tick()
         elapsed = time.perf_counter() - start
         if cycle >= WARMUP:

@@ -55,6 +55,7 @@ from .server.framing import (
     unpack_header,
 )
 from .server.ops import REGISTRY
+from .server.voq import destination_array
 
 __all__ = ["GatewayClient"]
 
@@ -373,20 +374,17 @@ class GatewayClient:
     ) -> Dict[str, Any]:
         """Send a whole batch of words in one request.
 
-        *dests* is any 1-D int sequence; over the binary framing it
-        crosses the wire as one packed int64 array.  *retry* is the
-        **server-side** re-admission attempt count (the gateway waits
-        out its own ``retry_after`` hints between rounds, far cheaper
-        than a wire round trip per retry).  The per-word result arrays
-        (``statuses``, ``latencies``, ...) come back as int64 numpy
-        arrays in both framings.  ``tenant`` names the batch's QoS
-        class on a tenant-configured gateway.
+        *dests* is any 1-D int sequence (float, bool or object input
+        raises :class:`InputError` before anything is sent); over the
+        binary framing it crosses the wire as one packed int64 array.
+        *retry* is the **server-side** re-admission attempt count (the
+        gateway waits out its own ``retry_after`` hints between rounds,
+        far cheaper than a wire round trip per retry).  The per-word
+        result arrays (``statuses``, ``latencies``, ...) come back as
+        int64 numpy arrays in both framings.  ``tenant`` names the
+        batch's QoS class on a tenant-configured gateway.
         """
-        array = np.ascontiguousarray(dests, dtype=np.int64)
-        if array.ndim != 1:
-            raise InputError(
-                f"dests must be one-dimensional, got shape {array.shape}"
-            )
+        array = destination_array(dests, "dests")
         fields: Dict[str, Any] = {"retry": retry}
         if tenant is not None:
             fields["tenant"] = tenant

@@ -37,6 +37,7 @@ from ..exceptions import (
     GatewayRequestError,
     InputError,
 )
+from ..server.voq import destination_array
 from .shardmap import ShardMap
 
 __all__ = ["ClusterClient"]
@@ -258,7 +259,9 @@ class ClusterClient:
     ) -> Dict[str, Any]:
         """Send a batch of global destinations; every word lands.
 
-        Splits the batch by serving node (one vectorized pass), runs
+        *dests* must be integers: float, bool or object input raises
+        :class:`InputError` before anything is sent.  Splits the batch
+        by serving node (one vectorized pass), runs
         the per-node ``send_batch`` requests concurrently, then
         re-pends any word whose node rejected it or died, refreshes
         the map, and goes again — up to ``max_attempts`` rounds.
@@ -268,11 +271,7 @@ class ClusterClient:
         """
         if self.map is None:
             raise ClusterError("the cluster client is not connected")
-        array = np.ascontiguousarray(dests, dtype=np.int64)
-        if array.ndim != 1:
-            raise InputError(
-                f"dests must be one-dimensional, got shape {array.shape}"
-            )
+        array = destination_array(dests, "dests")
         self.counters["batches"] += 1
         statuses = np.zeros(array.size, dtype=np.int64)
         latencies = np.full(array.size, -1, dtype=np.int64)

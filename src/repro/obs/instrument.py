@@ -285,42 +285,52 @@ class GatewayInstrumentation:
         self._retry_after.observe(retry_after_cycles)
 
     def on_dispatch(self, frame, plane, cycle: int) -> None:
-        self._dispatches.labels(str(plane.plane_id)).inc()
+        """A window of frames left for *plane*; traced frames read
+        their words' ``enqueued`` and ``requeues`` rows (a scheduled
+        frame always carries at least one word)."""
+        self._dispatches.labels(str(plane.plane_id)).inc(len(frame))
         tracer = self.tracer
-        if not tracer.wants(frame.tag):
-            return
-        entries = frame.entries.values()
-        tracer.record_dispatch(
-            frame.tag,
-            plane.plane_id,
-            cycle,
-            words=frame.active,
-            fill=frame.fill,
-            enqueued_cycle=(
-                min(entry.enqueued_cycle for entry in entries)
-                if frame.entries
-                else None
-            ),
-            coalesced_cycle=frame.scheduled_cycle,
-            requeues=max(
-                (entry.requeues for entry in entries), default=0
-            ),
-        )
+        for row in range(len(frame)):
+            tag = frame.tag + row
+            if not tracer.wants(tag):
+                continue
+            active = int(frame.active[row])
+            tracer.record_dispatch(
+                tag,
+                plane.plane_id,
+                cycle,
+                words=active,
+                fill=active / frame.n,
+                enqueued_cycle=int(frame.enqueued[row, :active].min()),
+                coalesced_cycle=frame.scheduled_cycle,
+                requeues=int(frame.requeues[row, :active].max()),
+            )
 
     def on_frame_delivered(
-        self, completion, cycle: int, max_latency: int
+        self, completion, cycle: int, max_latencies
     ) -> None:
+        """A window completed; ``max_latencies[j]`` is frame ``j``'s
+        worst word latency in cycles."""
         frame = completion.frame
-        self._frames.labels(str(completion.plane_id), completion.mode).inc()
-        self._words.labels(completion.mode).inc(frame.active)
-        self._fill.observe(frame.fill)
-        self._frame_latency.observe(max_latency)
-        self.tracer.record_delivery(
-            frame.tag, cycle, mode=completion.mode, latency_cycles=max_latency
+        actives = frame.active.tolist()
+        self._frames.labels(str(completion.plane_id), completion.mode).inc(
+            len(actives)
         )
+        self._words.labels(completion.mode).inc(sum(actives))
+        for row, (active, latency) in enumerate(
+            zip(actives, max_latencies.tolist())
+        ):
+            self._fill.observe(active / frame.n)
+            self._frame_latency.observe(latency)
+            self.tracer.record_delivery(
+                frame.tag + row,
+                cycle,
+                mode=completion.mode,
+                latency_cycles=latency,
+            )
 
-    def on_requeue(self, plane, entries) -> None:
-        self._requeued.inc(len(entries))
+    def on_requeue(self, plane, count: int) -> None:
+        self._requeued.inc(count)
 
     def on_plane_killed(self, plane) -> None:
         self._kills.labels(str(plane.plane_id)).inc()

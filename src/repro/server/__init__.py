@@ -5,12 +5,12 @@ onto the permutation contract" for one offline batch, this package
 keeps answering it forever, online, for concurrent clients:
 
 * :mod:`repro.server.voq` — per-destination **virtual output queues**
-  with bounded-depth admission control (reject-with-retry-after, never
-  unbounded buffering);
-* :mod:`repro.server.scheduler` — the **frame scheduler** that each
-  cycle coalesces queued words into a conflict-free full permutation
-  (one head-of-line word per destination, idle-filled via
-  :func:`~repro.core.traffic.complete_partial_permutation`);
+  as int64 rings, with bounded-depth admission control
+  (reject-with-retry-after, never unbounded buffering);
+* :mod:`repro.server.scheduler` — the **frame scheduler** that pops a
+  whole window of conflict-free full permutations at once (one
+  head-of-line word per destination per frame, idle-filled exactly as
+  :func:`~repro.core.traffic.coalesce_frame` would);
 * :mod:`repro.server.planes` — **fabric planes**: clocked pipelined
   planes on the object or compiled-numpy engine, windowed batch planes
   on any registered routing backend, or
@@ -43,7 +43,7 @@ from .ops import REGISTRY, OpSpec
 from .planes import BackendPlane, PipelinedPlane, ResilientPlane
 from .protocol import GatewayServer
 from .scheduler import FrameScheduler, ScheduledFrame
-from .voq import DEFAULT_TENANT, QueueEntry, VirtualOutputQueues
+from .voq import DEFAULT_TENANT, VirtualOutputQueues
 
 __all__ = [
     "AsyncGateway",
@@ -57,7 +57,6 @@ __all__ = [
     "OpSpec",
     "PROTOCOL_VERSION",
     "PipelinedPlane",
-    "QueueEntry",
     "REGISTRY",
     "Receipt",
     "ResilientPlane",

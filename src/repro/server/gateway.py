@@ -20,7 +20,7 @@ import asyncio
 import dataclasses
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -39,11 +39,15 @@ from .planes import (
     PipelinedPlane,
     ResilientPlane,
 )
-from .scheduler import FrameScheduler
+from .scheduler import FrameScheduler, Stranded
 from .voq import (
+    CLASS,
     DEFAULT_TENANT,
-    QueueEntry,
+    ENQUEUED,
+    INDEX,
+    SLOT,
     VirtualOutputQueues,
+    destination_array,
     validate_tenants,
 )
 
@@ -82,7 +86,9 @@ class GatewayConfig:
     #: destination's VOQ into per-tenant FIFOs drained by deficit-
     #: weighted round-robin (see :mod:`repro.server.voq`), with
     #: per-tenant fairness accounting in ``stats()["tenants"]`` and the
-    #: ``repro_tenant_*`` metrics.  ``None`` (the default) keeps the
+    #: ``repro_tenant_*`` metrics; at most
+    #: :data:`~repro.server.voq.MAX_TENANT_CLASSES` classes, counting
+    #: auto-registered ones.  ``None`` (the default) keeps the
     #: single-FIFO dataplane byte-identical to the untenanted code.
     tenants: Optional[Dict[str, int]] = None
     #: Starvation guard for tenant scheduling: a head word that has
@@ -209,15 +215,19 @@ class _BatchTracker:
     """Gateway-internal progress of one in-flight batch (a ``send`` is
     a batch of one).
 
-    ``open`` stays true while :meth:`AsyncGateway._deliver` is still
-    admitting (including its retry rounds), so a batch whose early
-    words all land before the last words are admitted does not fire its
-    future prematurely.
+    ``slot`` is the tracker's key in the gateway's slot table — the
+    int64 every queued word of the batch carries.  ``open`` stays true
+    while :meth:`AsyncGateway._deliver` is still admitting (including
+    its retry rounds), so a batch whose early words all land before the
+    last words are admitted does not fire its future prematurely.
     """
 
-    __slots__ = ("result", "future", "pending", "open", "requeues")
+    __slots__ = ("slot", "result", "future", "pending", "open", "requeues")
 
-    def __init__(self, result: BatchResult, future: "asyncio.Future") -> None:
+    def __init__(
+        self, slot: int, result: BatchResult, future: "asyncio.Future"
+    ) -> None:
+        self.slot = slot
         self.result = result
         self.future = future
         self.pending = 0
@@ -308,7 +318,11 @@ class AsyncGateway:
             else {}
         )
         self._mode_counts: Dict[str, int] = {}
-        self._batch_trackers: Set[_BatchTracker] = set()
+        #: The tracker slot table: queued words name their batch by
+        #: slot.  Slots are never reused, so a word that outlives its
+        #: batch (stranded by a stop) cannot land in a newer one.
+        self._trackers: Dict[int, _BatchTracker] = {}
+        self._next_slot = 0
         self._accepting = False
         self._draining = False
         self._started_monotonic: Optional[float] = None
@@ -420,25 +434,27 @@ class AsyncGateway:
         consulted) on an untenanted gateway.
 
         Raises, in this order: :class:`GatewayClosedError` when not
-        serving, :class:`InputError` for a bad destination,
+        serving, :class:`InputError` for a destination that is not an
+        integer or is out of range,
         :class:`PlaneUnavailableError` when no plane is healthy, and
         :class:`AdmissionRejectedError` (with a retry-after hint in
         cycles) when draining or under backpressure.  A word stranded
         by ``stop(drain=False)`` fails with :class:`GatewayClosedError`.
         """
-        self._admission_prologue(
-            [] if 0 <= destination < self.n else [destination]
-        )
+        if not self._accepting:
+            raise GatewayClosedError()
+        dests = destination_array([destination])
+        self._admission_prologue(dests)
         if self._draining:
             raise AdmissionRejectedError(
                 destination,
-                self.voqs.depth(destination),
+                self.voqs.depth(int(dests[0])),
                 self._drain_hint_cycles(),
             )
         # _deliver admits before its first await, so the word is
         # enqueued at this cycle.
         enqueued_cycle = self.cycle
-        tracker = await self._deliver([destination], 0, tenant)
+        tracker = await self._deliver(dests, 0, tenant)
         result = tracker.result
         if not result.statuses[0]:
             hint = int(result.retry_after[0])
@@ -499,19 +515,14 @@ class AsyncGateway:
         advertised backpressure and re-offers the rejected remainder up
         to that many more times before reporting them rejected.
 
-        Raises :class:`InputError` for any out-of-range destination
-        (the batch shape is the caller's bug, not backpressure),
-        :class:`GatewayClosedError` / :class:`PlaneUnavailableError`
-        exactly like :meth:`send`.
+        Raises :class:`InputError` for float, bool or object input and
+        any out-of-range destination (the batch shape is the caller's
+        bug, not backpressure), :class:`GatewayClosedError` /
+        :class:`PlaneUnavailableError` exactly like :meth:`send`.
         """
         if not self._accepting:
             raise GatewayClosedError()
-        dests = np.ascontiguousarray(destinations, dtype=np.int64)
-        if dests.ndim != 1:
-            raise InputError(
-                f"destinations must be one-dimensional, got shape "
-                f"{dests.shape}"
-            )
+        dests = destination_array(destinations)
         if retry_attempts < 0:
             raise InputError(
                 f"retry_attempts must be >= 0, got {retry_attempts}"
@@ -519,61 +530,58 @@ class AsyncGateway:
         count = int(dests.shape[0])
         if count == 0:
             return BatchResult(0)
-        self._admission_prologue(
-            dests[(dests < 0) | (dests >= self.n)][:8].tolist()
-        )
+        self._admission_prologue(dests)
         if self._draining:
             # A draining gateway bounces the whole batch with hints but
             # still returns a well-formed result: statuses stay 0.
             result = BatchResult(count)
             result.retry_after[:] = self._drain_hint_cycles()
             return result
-        # One C pass beats a per-word int() each.
-        tracker = await self._deliver(dests.tolist(), retry_attempts, tenant)
+        tracker = await self._deliver(dests, retry_attempts, tenant)
         return tracker.result
 
-    def _admission_prologue(self, out_of_range: List[int]) -> None:
-        """The checks :meth:`send` and :meth:`send_batch` share, in one
-        order: closed gateway, out-of-range destinations, no healthy
-        plane.  Draining comes after, so a node with no healthy plane
-        reports ``plane-unavailable`` — the slug a cluster client fails
-        over on — rather than a retry hint it would wait out forever."""
-        if not self._accepting:
-            raise GatewayClosedError()
-        if out_of_range:
+    def _admission_prologue(self, dests: np.ndarray) -> None:
+        """The checks :meth:`send` and :meth:`send_batch` share after
+        refusing a closed gateway and converting the destinations with
+        :func:`destination_array`, in one order: out-of-range
+        destinations, then no healthy plane.  Draining comes after, so
+        a node with no healthy plane reports ``plane-unavailable`` —
+        the slug a cluster client fails over on — rather than a retry
+        hint it would wait out forever."""
+        out_of_range = dests[(dests < 0) | (dests >= self.n)]
+        if out_of_range.size:
             raise InputError(
-                f"destinations {out_of_range} out of range for N={self.n}"
+                f"destinations {out_of_range[:8].tolist()} out of range "
+                f"for N={self.n}"
             )
         if not any(plane.healthy for plane in self.planes):
             raise PlaneUnavailableError(len(self.planes))
 
     async def _deliver(
-        self, dests: List[int], retry_attempts: int, tenant: Optional[str]
+        self, dests: np.ndarray, retry_attempts: int, tenant: Optional[str]
     ) -> _BatchTracker:
         """Admit *dests* as one tracked batch and await its delivery.
 
         The only admission and delivery path: every queued word is a
-        ``(tracker, index)`` pair, resolved once per frame by
+        ``(tracker slot, index)`` pair, resolved once per window by
         :meth:`_resolve` and failed as a unit by :meth:`_fail_stranded`.
         The first round is admitted before the first await.
         """
-        count = len(dests)
-        result = BatchResult(count)
-        tracker = _BatchTracker(
-            result, asyncio.get_running_loop().create_future()
+        result = BatchResult(dests.shape[0])
+        slot = self._next_slot
+        self._next_slot += 1
+        tracker = self._trackers[slot] = _BatchTracker(
+            slot, result, asyncio.get_running_loop().create_future()
         )
-        self._batch_trackers.add(tracker)
         tenant_name = tenant if tenant is not None else DEFAULT_TENANT
         try:
             rejected = self._admit_batch_round(
-                tracker, dests, range(count), tenant_name
+                tracker, dests, None, tenant_name
             )
             for _attempt in range(retry_attempts):
-                if not rejected:
+                if not rejected.size:
                     break
-                wait = max(
-                    1, int(result.retry_after[rejected].max(initial=0))
-                )
+                wait = max(1, int(result.retry_after[rejected].max()))
                 await self.wait_cycles(wait)
                 if not self._accepting:
                     break
@@ -588,7 +596,7 @@ class AsyncGateway:
                 # a word accepted on retry keeps hint 0 from here.
                 result.retry_after[rejected] = 0
                 rejected = self._admit_batch_round(
-                    tracker, dests, rejected, tenant_name
+                    tracker, dests[rejected], rejected, tenant_name
                 )
             tracker.open = False
             if tracker.pending == 0 and not tracker.future.done():
@@ -597,29 +605,31 @@ class AsyncGateway:
             await tracker.future
             return tracker
         finally:
-            self._batch_trackers.discard(tracker)
+            del self._trackers[slot]
 
     def _admit_batch_round(
         self,
         tracker: _BatchTracker,
-        dests: List[int],
-        indices: Any,
+        dests: np.ndarray,
+        indices: Optional[np.ndarray],
         tenant: str,
-    ) -> List[int]:
-        """Offer the words at *indices* to the VOQs; return the rejects.
+    ) -> np.ndarray:
+        """Offer the batch words at *indices* (all when ``None``), bound
+        for *dests*, to the VOQs; return the rejected indices.
 
         Synchronous on purpose: no await happens between the first and
         last admission of a round, so deliveries cannot interleave with
         the bookkeeping.
         """
-        retry_after = tracker.result.retry_after
-        admitted, rejected = self.voqs.admit_batch(
-            dests, self.cycle, tracker, retry_after, indices, tenant
+        admitted, rejected, hints = self.voqs.admit_batch(
+            dests, self.cycle, tracker.slot, indices, tenant
         )
         tracker.pending += admitted
-        if rejected and self.observer is not None:
-            for index in rejected:
-                self.observer.on_reject(int(retry_after[index]))
+        if rejected.size:
+            tracker.result.retry_after[rejected] = hints
+            if self.observer is not None:
+                for hint in hints.tolist():
+                    self.observer.on_reject(hint)
         self._work.set()
         return rejected
 
@@ -682,16 +692,18 @@ class AsyncGateway:
         self._work.set()
         return plane.describe()
 
-    def _requeue(self, plane: Any, entries: List[QueueEntry]) -> None:
+    def _requeue(self, plane: Any, stranded: Stranded) -> None:
         """Put a plane's stranded words back at the head of their queues."""
-        if not entries:
+        if not len(stranded):
             return
-        self.voqs.requeue_front(entries)
-        for entry in entries:
-            if entry.batch is not None:
-                entry.batch.requeues += 1
+        self.voqs.requeue_front(stranded.dests, stranded.words)
+        slots, counts = np.unique(stranded.words[:, SLOT], return_counts=True)
+        for slot, count in zip(slots.tolist(), counts.tolist()):
+            tracker = self._trackers.get(slot)
+            if tracker is not None:
+                tracker.requeues += count
         if self.observer is not None:
-            self.observer.on_requeue(plane, entries)
+            self.observer.on_requeue(plane, len(stranded))
 
     def _fail_stranded(self, failure: Exception) -> None:
         """Fail every batch still waiting, one exception per batch.
@@ -700,7 +712,7 @@ class AsyncGateway:
         ``send`` / ``send_batch`` — because its preallocated result is
         meaningless once any of its words can no longer be delivered.
         """
-        for tracker in list(self._batch_trackers):
+        for tracker in list(self._trackers.values()):
             if not tracker.future.done():
                 tracker.future.set_exception(failure)
 
@@ -757,27 +769,24 @@ class AsyncGateway:
         for plane in ready:
             if not self.voqs.total:
                 break
-            # A plane that stays ready after a frame (the batch engine
-            # buffering toward its window) keeps taking frames, so one
-            # tick can hand it a whole batch.
+            # A plane takes up to its free window of frames per offer
+            # (a batch plane a whole routing window), and keeps taking
+            # them while it stays ready.
             while plane.ready and self.voqs.total:
-                frame = self.scheduler.next_frame(self.voqs, self.cycle)
+                frame = self.scheduler.next_frame(
+                    self.voqs, self.cycle, plane.window
+                )
                 if frame is None:
                     break
                 plane.offer(frame)
                 if self.observer is not None:
                     self.observer.on_dispatch(frame, plane, self.cycle)
-        # Clock every healthy plane; collect deliveries and casualties.
-        for plane in healthy:
-            completed, requeue = plane.step()
-            for completion in completed:
-                self._resolve(completion)
-            self._requeue(plane, requeue)
-            # A plane that was healthy entering the tick and is not now
-            # was killed by its own step(); report it exactly once.
-            if not plane.healthy and self.observer is not None:
-                self.observer.on_plane_killed(plane)
-        # Release cycle waiters that reached their target.
+        # Release cycle waiters that reached their target before any
+        # delivery of this cycle wakes its caller: a batch that waited
+        # out its retry hint gets the slots this dispatch freed ahead
+        # of a caller resubmitting on completion.  (Woken after them, a
+        # retry whose period is a multiple of the completion period
+        # found the queues full on every round.)
         if self._cycle_waiters:
             still_waiting = []
             for target, future in self._cycle_waiters:
@@ -787,63 +796,77 @@ class AsyncGateway:
                 else:
                     still_waiting.append((target, future))
             self._cycle_waiters = still_waiting
+        # Clock every healthy plane; collect deliveries and casualties.
+        for plane in healthy:
+            completed, stranded = plane.step()
+            for completion in completed:
+                self._resolve(completion)
+            self._requeue(plane, stranded)
+            # A plane that was healthy entering the tick and is not now
+            # was killed by its own step(); report it exactly once.
+            if not plane.healthy and self.observer is not None:
+                self.observer.on_plane_killed(plane)
 
     def _resolve(self, completion: CompletedFrame) -> None:
+        """Deliver a completed window: its words land in their batch
+        results by tracker slot, a handful of array stores per tracker."""
         frame = completion.frame
-        self.delivered_frames += 1
-        self._mode_counts[completion.mode] = (
-            self._mode_counts.get(completion.mode, 0) + 1
-        )
-        worst_latency = 0
-        plane_id = completion.plane_id
+        frames = len(frame)
         mode = completion.mode
+        self.delivered_frames += frames
+        self._mode_counts[mode] = self._mode_counts.get(mode, 0) + frames
         cycle = self.cycle
-        tag = frame.tag
-        entries = frame.entries
-        self.delivered_words += len(entries)
-        latency_samples = self._latencies
-        tenant_samples = self._tenant_latencies
-        tenant_delivered = self._tenant_delivered
-        # Batch words resolve per *frame*, not per word: indices and
-        # latencies group by tracker, then land in the preallocated
-        # result arrays as a handful of fancy-indexed stores.
-        groups: Dict[Any, Any] = {}
-        for entry in entries.values():
-            latency = cycle - entry.enqueued_cycle
-            if latency > worst_latency:
-                worst_latency = latency
-            latency_samples.append(latency)
-            if tenant_samples is not None:
-                tenant = entry.tenant
-                samples = tenant_samples.get(tenant)
-                if samples is None:
-                    samples = tenant_samples[tenant] = []
-                    tenant_delivered[tenant] = 0
-                samples.append(latency)
-                tenant_delivered[tenant] += 1
-            tracker = entry.batch
-            if tracker is not None:
-                group = groups.get(tracker)
-                if group is None:
-                    groups[tracker] = group = ([], [])
-                group[0].append(entry.batch_index)
-                group[1].append(latency)
-        for tracker, (indices, latencies) in groups.items():
+        # The real words in frame-then-line order, and each one's row.
+        real = frame.real
+        words = frame.words[real]
+        rows = np.nonzero(real)[0]
+        count = words.shape[0]
+        self.delivered_words += count
+        latencies = cycle - words[:, ENQUEUED]
+        self._latencies.extend(latencies.tolist())
+        slots = words[:, SLOT]
+        order = np.argsort(slots, kind="stable")
+        cuts = (np.flatnonzero(np.diff(slots[order])) + 1).tolist()
+        groups = [
+            (int(slots[order[lo]]), order[lo:hi])
+            for lo, hi in zip([0] + cuts, cuts + [count])
+        ]
+        for slot, picked in groups:
+            tracker = self._trackers.get(slot)
+            if tracker is None:
+                continue
+            indices = words[picked, INDEX]
             result = tracker.result
             result.statuses[indices] = 1
-            result.planes[indices] = plane_id
-            result.frames[indices] = tag
-            result.latencies[indices] = latencies
+            result.planes[indices] = completion.plane_id
+            result.frames[indices] = frame.tag + rows[picked]
+            result.latencies[indices] = latencies[picked]
             result.modes[indices] = result.mode_index(mode)
-            tracker.pending -= len(indices)
+            tracker.pending -= indices.shape[0]
             if (
                 tracker.pending == 0
                 and not tracker.open
                 and not tracker.future.done()
             ):
                 tracker.future.set_result(result)
+        tenant_samples = self._tenant_latencies
+        if tenant_samples is not None:
+            names = self.voqs.class_names
+            classes = words[:, CLASS]
+            for index in np.unique(classes).tolist():
+                tenant = names[index]
+                mine = latencies[classes == index]
+                tenant_samples.setdefault(tenant, []).extend(mine.tolist())
+                self._tenant_delivered[tenant] = (
+                    self._tenant_delivered.get(tenant, 0) + mine.shape[0]
+                )
         if self.observer is not None:
-            self.observer.on_frame_delivered(completion, self.cycle, worst_latency)
+            # Every frame carries at least one word, so each row's words
+            # are a non-empty run of ``latencies``.
+            starts = np.cumsum(frame.active) - frame.active
+            self.observer.on_frame_delivered(
+                completion, cycle, np.maximum.reduceat(latencies, starts)
+            )
         window = self.config.latency_window
         if len(self._latencies) > 2 * window:
             del self._latencies[:-window]

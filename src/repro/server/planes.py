@@ -26,7 +26,11 @@ to track which frames are inside it.  One class per dataplane shape:
   tolerance — the vector fabric narrows that trade substantially.
 
 All expose the same interface the gateway's clock loop drives:
-``ready`` / ``offer`` / ``step`` / ``kill`` / ``load``.
+``ready`` / ``window`` / ``offer`` / ``step`` / ``kill`` / ``load``.
+Frames travel as :class:`~repro.server.scheduler.ScheduledFrame`
+windows of arrays: a backend plane takes up to its free ``window`` of
+frames per offer, the clocked kinds one; a dead plane hands its words
+back as one :class:`~repro.server.scheduler.Stranded` bundle.
 """
 
 from __future__ import annotations
@@ -42,8 +46,7 @@ from ..core.pipeline_fast import VectorPipelinedFabric
 from ..core.words import Word
 from ..exceptions import FaultServiceError, MisdeliveryError
 from ..service.fabric import ResilientFabric
-from .scheduler import ScheduledFrame
-from .voq import QueueEntry
+from .scheduler import NOTHING_STRANDED, ScheduledFrame, Stranded
 
 __all__ = [
     "BackendPlane",
@@ -55,18 +58,12 @@ __all__ = [
 
 @dataclasses.dataclass
 class CompletedFrame:
-    """A frame that left a plane with every word on its addressed line.
-
-    ``outputs`` is the per-line Word list for the pipelined and
-    resilient planes; :class:`BackendPlane` verifies arithmetically on
-    source-index arrays and leaves it ``None`` — nothing downstream of
-    a plane reads ``outputs`` (the gateway resolves receipts from
-    ``frame.entries``), so batch completions never materialize
-    per-word objects.
-    """
+    """A window of frames that left a plane with every real word on its
+    addressed line.  The gateway resolves the window's words from
+    ``frame.words`` in one pass; no plane materializes per-word
+    objects for it."""
 
     frame: ScheduledFrame
-    outputs: Optional[List[Optional[Word]]]
     plane_id: int
     mode: str  # "clean" | "degraded" | "failover"
 
@@ -80,43 +77,70 @@ class _PlaneBase:
         self.frames_delivered = 0
         self.words_delivered = 0
         self.failure: Optional[str] = None
+        #: Windows inside the plane, keyed by their first frame's tag.
         self._in_flight: Dict[int, ScheduledFrame] = {}
 
     @property
     def in_flight(self) -> int:
-        return len(self._in_flight)
+        """Frames inside the plane."""
+        return sum(len(frame) for frame in self._in_flight.values())
 
-    def kill(self, reason: str = "killed") -> List[QueueEntry]:
-        """Take the plane out of service; return stranded queue entries.
+    @property
+    def window(self) -> int:
+        """Frames the plane takes in one offer: one per cycle."""
+        return 1
+
+    def kill(self, reason: str = "killed") -> Stranded:
+        """Take the plane out of service; return its stranded words.
 
         Idempotent: a second kill returns nothing.  The caller (the
-        gateway) requeues the entries so in-flight words survive the
+        gateway) requeues the words so in-flight traffic survives the
         plane's death.
         """
         if not self.healthy:
-            return []
+            return NOTHING_STRANDED
         self.healthy = False
         self.failure = reason
-        stranded = [
-            entry
-            for frame in self._in_flight.values()
-            for entry in frame.entries.values()
-        ]
+        stranded = Stranded.join(
+            [frame.stranded() for frame in self._in_flight.values()]
+        )
         self._in_flight.clear()
         return stranded
+
+    def _delivered(self, frame: ScheduledFrame, mode: str) -> CompletedFrame:
+        self.frames_delivered += len(frame)
+        self.words_delivered += int(frame.active.sum())
+        return CompletedFrame(frame=frame, plane_id=self.plane_id, mode=mode)
+
+    def _check(
+        self,
+        frame: ScheduledFrame,
+        outputs: List[Optional[Word]],
+        destinations: Any,
+        what: str,
+    ) -> None:
+        """Each listed destination's output must carry the word from the
+        line that addressed it (payloads are line numbers)."""
+        addresses = frame.addresses[0].tolist()
+        line_of = {dest: line for line, dest in enumerate(addresses)}
+        for destination in destinations:
+            word = outputs[destination]
+            if word is None or word.payload != line_of[destination]:
+                raise MisdeliveryError(
+                    self.plane_id,
+                    f"frame {frame.tag}: {what} output {destination} "
+                    f"carrying {word!r}, expected the word from line "
+                    f"{line_of[destination]}",
+                )
 
     def _verify(
         self, frame: ScheduledFrame, outputs: List[Optional[Word]]
     ) -> None:
-        """Every entry's word must sit on its addressed line, payload intact."""
-        for destination, entry in frame.entries.items():
-            word = outputs[destination]
-            if word is None or word.payload is not entry:
-                raise MisdeliveryError(
-                    self.plane_id,
-                    f"frame {frame.tag}: output {destination} carries "
-                    f"{word!r}, expected the word for {entry.destination}",
-                )
+        """Every real word must sit on its addressed line."""
+        active = int(frame.active[0])
+        self._check(
+            frame, outputs, frame.addresses[0, :active].tolist(), "found"
+        )
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -191,9 +215,9 @@ class PipelinedPlane(_PlaneBase):
         return self.in_flight + (0 if self.fabric.can_accept else 1)
 
     def offer(self, frame: ScheduledFrame) -> None:
-        if not self.ready:
+        if not self.ready or len(frame) != 1:
             raise ValueError(f"plane {self.plane_id} cannot accept a frame now")
-        self.fabric.offer_words(frame.words, tag=frame.tag)
+        self.fabric.offer_words(frame.line_words(), tag=frame.tag)
         self._in_flight[frame.tag] = frame
 
     def _verify_sampled(
@@ -206,33 +230,24 @@ class PipelinedPlane(_PlaneBase):
             self.full_verifies += 1
             self._verify(frame, outputs)
             return
-        if not self.spot_checks or not frame.entries:
+        active = int(frame.active[0])
+        if not self.spot_checks or not active:
             return
         self.spot_verifies += 1
-        destinations = sorted(frame.entries)
-        for probe in range(min(self.spot_checks, len(destinations))):
-            destination = destinations[
-                (self._spot_cursor + probe) % len(destinations)
-            ]
-            entry = frame.entries[destination]
-            word = outputs[destination]
-            if word is None or word.payload is not entry:
-                raise MisdeliveryError(
-                    self.plane_id,
-                    f"frame {frame.tag}: spot check found output "
-                    f"{destination} carrying {word!r}, expected the word "
-                    f"for {entry.destination}",
-                )
-        self._spot_cursor = (self._spot_cursor + self.spot_checks) % max(
-            len(destinations), 1
-        )
+        destinations = sorted(frame.addresses[0, :active].tolist())
+        probes = [
+            destinations[(self._spot_cursor + probe) % active]
+            for probe in range(min(self.spot_checks, active))
+        ]
+        self._check(frame, outputs, probes, "spot check found")
+        self._spot_cursor = (self._spot_cursor + self.spot_checks) % active
 
-    def step(self) -> Tuple[List[CompletedFrame], List[QueueEntry]]:
-        """One clock: returns (verified completions, entries to requeue)."""
+    def step(self) -> Tuple[List[CompletedFrame], Stranded]:
+        """One clock: returns (verified completions, words to requeue)."""
         if not self.healthy or (
             self.fabric.in_flight == 0 and self.fabric.can_accept
         ):
-            return [], []
+            return [], NOTHING_STRANDED
         self._delivered_now = []
         self.fabric.step()
         completed: List[CompletedFrame] = []
@@ -241,20 +256,11 @@ class PipelinedPlane(_PlaneBase):
             try:
                 self._verify_sampled(frame, outputs)
             except MisdeliveryError as error:
-                requeue = list(frame.entries.values())
-                requeue.extend(self.kill(reason=str(error)))
-                return completed, requeue
-            self.frames_delivered += 1
-            self.words_delivered += frame.active
-            completed.append(
-                CompletedFrame(
-                    frame=frame,
-                    outputs=outputs,
-                    plane_id=self.plane_id,
-                    mode="clean",
+                return completed, Stranded.join(
+                    [frame.stranded(), self.kill(reason=str(error))]
                 )
-            )
-        return completed, []
+            completed.append(self._delivered(frame, "clean"))
+        return completed, NOTHING_STRANDED
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
@@ -280,11 +286,11 @@ class BackendPlane(_PlaneBase):
     interpreter cost of a stage is paid once per *window* instead of
     once per frame.  This is the dataplane behind ``send_batch``
     throughput (see ``docs/backends.md``).  Verification is total,
-    backend-agnostic and word-free: the routed ``sources`` row of a
-    frame must put every genuine destination's word on its addressed
-    line, one vectorized comparison against ``real_dests``/
-    ``real_lines`` — so a buggy (or merely disagreeing) backend kills
-    the plane and requeues its words instead of misdelivering.
+    backend-agnostic and word-free: one masked ``take_along_axis``
+    comparison checks that every real line's word reached the output
+    it addressed, across the whole window — so a buggy (or merely
+    disagreeing) backend kills the plane and requeues its words instead
+    of misdelivering.
     """
 
     def __init__(
@@ -312,73 +318,77 @@ class BackendPlane(_PlaneBase):
         self.batch_window = batch_window
         self.batches_routed = 0
         self._pending: List[ScheduledFrame] = []
+        self._pending_frames = 0
 
     @property
     def ready(self) -> bool:
-        return self.healthy and len(self._pending) < self.batch_window
+        return self.healthy and self._pending_frames < self.batch_window
+
+    @property
+    def window(self) -> int:
+        """Free frame slots left in the routing window."""
+        return self.batch_window - self._pending_frames
 
     @property
     def load(self) -> int:
         return self.in_flight
 
     def offer(self, frame: ScheduledFrame) -> None:
-        if not self.ready:
+        if not self.ready or len(frame) > self.window:
             raise ValueError(f"plane {self.plane_id} cannot accept a frame now")
         self._pending.append(frame)
+        self._pending_frames += len(frame)
         self._in_flight[frame.tag] = frame
 
-    def kill(self, reason: str = "killed") -> List[QueueEntry]:
+    def kill(self, reason: str = "killed") -> Stranded:
         stranded = super().kill(reason=reason)
         self._pending.clear()
+        self._pending_frames = 0
         return stranded
 
-    def step(self) -> Tuple[List[CompletedFrame], List[QueueEntry]]:
+    def step(self) -> Tuple[List[CompletedFrame], Stranded]:
         """Route every buffered frame through the backend in one call."""
         if not self.healthy or not self._pending:
-            return [], []
-        frames, self._pending = self._pending, []
-        if len(frames) == 1:
-            sources = self.backend.route_frame(frames[0].address_array)[
-                None, :
-            ]
+            return [], NOTHING_STRANDED
+        windows, self._pending = self._pending, []
+        self._pending_frames = 0
+        addresses = np.concatenate([frame.addresses for frame in windows])
+        if addresses.shape[0] == 1:
+            sources = self.backend.route_frame(addresses[0])[None, :]
         else:
-            sources = self.backend.route_frame_batch(
-                np.stack([frame.address_array for frame in frames])
-            )
+            sources = self.backend.route_frame_batch(addresses)
         self.batches_routed += 1
+        # sources[j, output] is the line whose word reached *output*, so
+        # gathering at each line's address must give the line back.
+        lines = np.arange(self.n)
+        active = np.concatenate([frame.active for frame in windows])
+        wrong = np.take_along_axis(sources, addresses, axis=1) != lines
+        wrong &= lines < active[:, None]
+        bad_rows = np.flatnonzero(wrong.any(axis=1))
+        bad_row = int(bad_rows[0]) if bad_rows.size else addresses.shape[0]
+        # Frames before the first misdelivered one complete; it and
+        # every later frame requeue, oldest first.
         completed: List[CompletedFrame] = []
-        for row, frame in zip(sources, frames):
+        offset = 0
+        for frame in windows:
             self._in_flight.pop(frame.tag, None)
-            dests = frame.real_dests
-            if dests.size and not np.array_equal(
-                row[dests], frame.real_lines
-            ):
-                bad = dests[row[dests] != frame.real_lines]
-                requeue = list(frame.entries.values())
-                requeue.extend(
-                    self.kill(
-                        reason=str(
-                            MisdeliveryError(
-                                self.plane_id,
-                                f"frame {frame.tag}: backend "
-                                f"{self.backend.name!r} put the wrong "
-                                f"source lines on outputs {bad.tolist()}",
-                            )
-                        )
-                    )
-                )
-                return completed, requeue
-            self.frames_delivered += 1
-            self.words_delivered += frame.active
-            completed.append(
-                CompletedFrame(
-                    frame=frame,
-                    outputs=None,
-                    plane_id=self.plane_id,
-                    mode="clean",
-                )
+            local = bad_row - offset
+            offset += len(frame)
+            if local >= len(frame):
+                completed.append(self._delivered(frame, "clean"))
+                continue
+            if local:
+                completed.append(self._delivered(frame.rows(0, local), "clean"))
+            bad = frame.addresses[local][wrong[bad_row]]
+            error = MisdeliveryError(
+                self.plane_id,
+                f"frame {frame.tag + local}: backend {self.backend.name!r} "
+                f"put the wrong source lines on outputs {bad.tolist()}",
             )
-        return completed, []
+            return completed, Stranded.join(
+                [frame.rows(local).stranded(), self.kill(reason=str(error))]
+            )
+        return completed, NOTHING_STRANDED
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
@@ -426,38 +436,28 @@ class ResilientPlane(_PlaneBase):
         return self.fabric.registry.is_quarantined
 
     def offer(self, frame: ScheduledFrame) -> None:
-        if not self.ready:
+        if not self.ready or len(frame) != 1:
             raise ValueError(f"plane {self.plane_id} cannot accept a frame now")
         self._queued = frame
         self._in_flight[frame.tag] = frame
 
-    def step(self) -> Tuple[List[CompletedFrame], List[QueueEntry]]:
+    def step(self) -> Tuple[List[CompletedFrame], Stranded]:
         if not self.healthy or self._queued is None:
-            return [], []
+            return [], NOTHING_STRANDED
         frame = self._queued
         self._queued = None
         try:
-            result = self.fabric.submit_words(frame.words, tag=frame.tag)
+            result = self.fabric.submit_words(
+                frame.line_words(), tag=frame.tag
+            )
             self._verify(frame, result.outputs)
         except (FaultServiceError, MisdeliveryError) as error:
-            requeue = list(frame.entries.values())
             self._in_flight.pop(frame.tag, None)
-            requeue.extend(self.kill(reason=str(error)))
-            return [], requeue
+            return [], Stranded.join(
+                [frame.stranded(), self.kill(reason=str(error))]
+            )
         self._in_flight.pop(frame.tag, None)
-        self.frames_delivered += 1
-        self.words_delivered += frame.active
-        return (
-            [
-                CompletedFrame(
-                    frame=frame,
-                    outputs=result.outputs,
-                    plane_id=self.plane_id,
-                    mode=result.mode,
-                )
-            ],
-            [],
-        )
+        return [self._delivered(frame, result.mode)], NOTHING_STRANDED
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()

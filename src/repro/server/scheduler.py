@@ -1,172 +1,207 @@
 """The frame scheduler: queued words -> conflict-free permutation frames.
 
-Each gateway cycle the scheduler pops at most one head-of-line word per
-destination from the VOQs (pairwise-distinct destinations — a
-conflict-free matching of inputs to outputs, in the
-routing-via-matchings sense) and completes the partial request into a
-full permutation with :func:`~repro.core.traffic.coalesce_frame`, so
-every frame satisfies the balanced-bit precondition the BNB splitters
-need.  Idle lines carry filler words with ``payload=None``; real words
-carry their :class:`~repro.server.voq.QueueEntry` as payload, which is
-how delivery is matched back to the awaiting client.
+Each frame takes at most one head-of-line word per destination from
+the VOQs (pairwise-distinct destinations — a conflict-free matching of
+inputs to outputs, in the routing-via-matchings sense) and completes
+the partial request into a full permutation, so every frame satisfies
+the balanced-bit precondition the BNB splitters need.
+
+The scheduler builds a whole **window** of frames per call, as arrays.
+With per-destination depths ``d``, frame ``j`` of the window carries the
+head of every destination with ``d > j``; the scan over destinations
+is rotated by one per frame (round-robin fairness), the real
+destinations take lines ``0..k-1`` in scan order and the unused
+addresses fill the rest in ascending order — exactly what
+:func:`~repro.core.traffic.coalesce_frame` does for one frame.  The
+whole window's line layout is one ``argsort`` over a ``(frames, n)``
+key, and :meth:`~repro.server.voq.VirtualOutputQueues.pop_frames` pops
+its words in one gather: no Python work per word or per frame.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.traffic import FramePlan, coalesce_frame
 from ..core.words import Word
-from .voq import QueueEntry, VirtualOutputQueues
+from .voq import ENQUEUED, INDEX, REQUEUES, WORD_FIELDS, VirtualOutputQueues
 
-__all__ = ["FrameScheduler", "ScheduledFrame"]
+__all__ = ["FrameScheduler", "ScheduledFrame", "Stranded"]
+
+
+class Stranded:
+    """Words lifted off frames a plane will never deliver.
+
+    ``dests[k]`` is the destination of the word whose ring row is
+    ``words[k]``, oldest frame first and line order within a frame —
+    the order :meth:`~repro.server.voq.VirtualOutputQueues.requeue_front`
+    puts them back in.  ``len()`` counts words.
+    """
+
+    __slots__ = ("dests", "words")
+
+    def __init__(self, dests: np.ndarray, words: np.ndarray) -> None:
+        self.dests = dests
+        self.words = words
+
+    @classmethod
+    def join(cls, parts: Sequence["Stranded"]) -> "Stranded":
+        parts = [part for part in parts if len(part)]
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return NOTHING_STRANDED
+        return cls(
+            np.concatenate([part.dests for part in parts]),
+            np.concatenate([part.words for part in parts]),
+        )
+
+    def __len__(self) -> int:
+        return self.dests.shape[0]
+
+
+NOTHING_STRANDED = Stranded(
+    np.empty(0, dtype=np.int64), np.empty((0, WORD_FIELDS), dtype=np.int64)
+)
 
 
 class ScheduledFrame:
-    """One coalesced frame: a full permutation plus its book-keeping.
+    """A window of consecutive coalesced frames, as arrays only.
 
-    ``entries[dest]`` is the queue entry whose word rides the frame to
-    output *dest*.  The frame carries its traffic in two interchangeable
-    shapes: ``words`` — the per-line :class:`~repro.core.words.Word`
-    list the object planes clock through the fabric — and the array
-    triple (``address_array``, ``real_dests``, ``real_lines``) the
-    vectorized planes route and verify without touching a single Word.
-    Both are built lazily from the coalesced plan, so a frame only ever
-    pays for the representation its plane actually uses.
+    Row ``j`` is the frame tagged ``tag + j``: ``addresses[j]`` its full
+    destination permutation (one entry per input line), ``active[j]``
+    how many of its lines carry real words — always lines
+    ``0..active[j]-1`` — and ``words[j, line]`` the ring row
+    (:data:`~repro.server.voq.WORD_FIELDS` columns: tracker slot, batch
+    index, enqueued cycle, requeue count, class) of the word on that
+    line.  Rows past ``active[j]`` are idle filler and hold stale
+    values.  ``len(frame)`` counts frames.
     """
 
-    __slots__ = (
-        "tag",
-        "entries",
-        "plan",
-        "scheduled_cycle",
-        "_words",
-        "_address_array",
-        "_real_dests",
-        "_real_lines",
-    )
+    __slots__ = ("tag", "scheduled_cycle", "addresses", "active", "words")
 
     def __init__(
         self,
         tag: int,
-        entries: Dict[int, QueueEntry],
-        plan: FramePlan,
         scheduled_cycle: int,
+        addresses: np.ndarray,
+        active: np.ndarray,
+        words: np.ndarray,
     ) -> None:
         self.tag = tag
-        self.entries = entries
-        self.plan = plan
         self.scheduled_cycle = scheduled_cycle
-        self._words: Optional[List[Word]] = None
-        self._address_array: Optional[np.ndarray] = None
-        self._real_dests: Optional[np.ndarray] = None
-        self._real_lines: Optional[np.ndarray] = None
+        self.addresses = addresses
+        self.active = active
+        self.words = words
+
+    def __len__(self) -> int:
+        return self.addresses.shape[0]
 
     @property
-    def words(self) -> List[Word]:
-        """The per-line Word list; ``words[line].payload`` is the queue
-        entry for real lines and ``None`` for idle filler."""
-        if self._words is None:
-            entries = self.entries
-            self._words = [
-                Word(address=address, payload=entries.get(address))
-                for address in self.plan.addresses
-            ]
-        return self._words
+    def n(self) -> int:
+        return self.addresses.shape[1]
 
     @property
-    def address_array(self) -> np.ndarray:
-        """The frame's full destination permutation as an int64 vector."""
-        if self._address_array is None:
-            self._address_array = np.asarray(
-                self.plan.addresses, dtype=np.int64
-            )
-        return self._address_array
+    def fill(self) -> np.ndarray:
+        """Per-frame fill ratio: real lines over all lines."""
+        return self.active / self.n
 
     @property
-    def real_dests(self) -> np.ndarray:
-        """Destinations carrying genuine traffic, as an int64 vector."""
-        if self._real_dests is None:
-            line_of = self.plan.line_of
-            self._real_dests = np.fromiter(
-                line_of.keys(), dtype=np.int64, count=len(line_of)
-            )
-        return self._real_dests
+    def real(self) -> np.ndarray:
+        """``(frames, n)`` mask of the lines carrying real words."""
+        return np.arange(self.n) < self.active[:, None]
 
     @property
-    def real_lines(self) -> np.ndarray:
-        """``real_lines[k]`` is the input line feeding ``real_dests[k]``."""
-        if self._real_lines is None:
-            line_of = self.plan.line_of
-            self._real_lines = np.fromiter(
-                line_of.values(), dtype=np.int64, count=len(line_of)
-            )
-        return self._real_lines
+    def indices(self) -> np.ndarray:
+        return self.words[..., INDEX]
 
     @property
-    def active(self) -> int:
-        return len(self.entries)
+    def enqueued(self) -> np.ndarray:
+        return self.words[..., ENQUEUED]
 
     @property
-    def fill(self) -> float:
-        return self.plan.fill
+    def requeues(self) -> np.ndarray:
+        return self.words[..., REQUEUES]
+
+    def rows(self, start: int, stop: Optional[int] = None) -> "ScheduledFrame":
+        """Frames ``start..stop-1`` of the window (views, same tags)."""
+        return ScheduledFrame(
+            self.tag + start,
+            self.scheduled_cycle,
+            self.addresses[start:stop],
+            self.active[start:stop],
+            self.words[start:stop],
+        )
+
+    def stranded(self) -> Stranded:
+        """Every real word of the window, for requeueing."""
+        real = self.real
+        return Stranded(self.addresses[real], self.words[real])
+
+    def line_words(self) -> List[Word]:
+        """The first frame as the per-line Word list the object planes
+        clock: a real line's payload is its line number (delivery is
+        verified by equality), idle filler carries ``None``."""
+        active = int(self.active[0])
+        return [
+            Word(address=address, payload=line if line < active else None)
+            for line, address in enumerate(self.addresses[0].tolist())
+        ]
 
     def __repr__(self) -> str:
         return (
-            f"ScheduledFrame(tag={self.tag}, active={self.active}, "
-            f"n={len(self.plan.addresses)}, cycle={self.scheduled_cycle})"
+            f"ScheduledFrame(tag={self.tag}, frames={len(self)}, "
+            f"active={int(self.active.sum())}, n={self.n}, "
+            f"cycle={self.scheduled_cycle})"
         )
 
 
 class FrameScheduler:
-    """Coalesce VOQ heads into frames; account fill ratio."""
+    """Coalesce VOQ heads into windows of frames; account fill ratio."""
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.frames_scheduled = 0
         self.words_scheduled = 0
-        self._fill_sum = 0.0
         self._next_tag = 0
+        self._rr_start = 0
 
     def next_frame(
-        self, voqs: VirtualOutputQueues, cycle: int
+        self, voqs: VirtualOutputQueues, cycle: int, window: int = 1
     ) -> Optional[ScheduledFrame]:
-        """Build the next frame from *voqs*, or ``None`` when idle."""
-        entries = voqs.pop_heads(self.n)
-        if not entries:
+        """Pop up to *window* frames from *voqs*, or ``None`` when idle.
+
+        The window holds as many frames as the deepest queue has words,
+        capped at *window* (the asking plane's free frame slots); the
+        result equals *window* consecutive one-frame calls.
+        """
+        n = self.n
+        depths = voqs.dest_depths()
+        frames = min(window, int(depths.max()))
+        if frames <= 0:
             return None
-        destinations = [entry.destination for entry in entries]
-        if len(entries) == self.n:
-            # Full fill (the saturated batch path): the heads are
-            # already a permutation on consecutive lines — no idle
-            # completion to compute.
-            plan = FramePlan(
-                addresses=destinations,
-                line_of={dest: line for line, dest in enumerate(destinations)},
-            )
-        else:
-            plan = coalesce_frame(destinations, self.n)
-        by_destination = {entry.destination: entry for entry in entries}
+        start = self._rr_start
+        rows = np.arange(frames, dtype=np.int64)[:, None]
+        real = depths > rows
+        active = real.sum(axis=1)
+        lines = np.arange(n, dtype=np.int64)
+        scan = (lines - start - rows) % n
+        addresses = np.argsort(np.where(real, scan, n + lines), axis=1)
+        words = voqs.pop_frames(addresses)
+        self._rr_start = (start + frames) % n
         tag = self._next_tag
-        self._next_tag += 1
-        self.frames_scheduled += 1
-        self.words_scheduled += len(entries)
-        self._fill_sum += plan.fill
-        return ScheduledFrame(
-            tag=tag,
-            entries=by_destination,
-            plan=plan,
-            scheduled_cycle=cycle,
-        )
+        self._next_tag += frames
+        self.frames_scheduled += frames
+        self.words_scheduled += int(active.sum())
+        return ScheduledFrame(tag, cycle, addresses, active, words)
 
     @property
     def mean_fill(self) -> float:
         """Average frame fill ratio over everything scheduled so far."""
         if not self.frames_scheduled:
             return 0.0
-        return self._fill_sum / self.frames_scheduled
+        return self.words_scheduled / (self.frames_scheduled * self.n)
 
     def snapshot(self) -> Dict[str, float]:
         return {

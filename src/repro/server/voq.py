@@ -1,4 +1,4 @@
-"""Virtual output queues with bounded-depth admission control.
+"""Virtual output queues: struct-of-arrays rings with bounded admission.
 
 One FIFO per destination (the classic VOQ arrangement that defeats
 head-of-line blocking: a burst for output 3 never delays a word for
@@ -7,28 +7,97 @@ at admission** with a retry-after hint instead of buffered, so offered
 load beyond capacity degrades into client-visible backpressure rather
 than unbounded memory growth.
 
-With ``tenants`` configured, each destination's FIFO splits into one
-sub-FIFO per tenant class and the head pick becomes smoothed weighted
-round-robin over the backlogged classes (:class:`_TenantQueue`) — the
-deficit-style scheduler that gives a weight-8 tenant 8× the service of
-a weight-1 tenant sharing the same hot output, plus an age override so
-no class can be starved past ``starvation_cycles`` of relative delay.
-The default (``tenants=None``) keeps the original plain-deque hot path
-untouched.
+The queues hold no Python object per word.  A queued word is one row
+of :data:`WORD_FIELDS` int64s — tracker slot, batch index, enqueued
+cycle, requeue count and class — in a single ring array of shape
+``(classes, n, ring, WORD_FIELDS)``, with ``head`` and ``depth``
+vectors of shape ``(classes, n)``.  An untenanted VOQ has one class.
+Every operation is a fixed number of numpy passes over a batch or a
+window, never a loop over words:
+
+* :meth:`VirtualOutputQueues.admit_batch` — ``bincount`` the
+  destinations, rank each word stably within its destination, accept
+  ranks below the free slots, scatter the accepted rows into the rings;
+* :meth:`VirtualOutputQueues.pop_frames` — pop a whole window of
+  frames (frame ``j`` takes the head of every destination with
+  ``depth > j``) in one gather, laid out on the lines the
+  :class:`~repro.server.scheduler.FrameScheduler` chose;
+* :meth:`VirtualOutputQueues.requeue_front` — put a dead plane's
+  stranded words back at the heads, growing the ring on that rare path
+  when a queue must exceed ``capacity``.
+
+With ``tenants`` configured, each tenant class is its own ring and the
+head pick at a destination is smoothed weighted round-robin over the
+backlogged classes — the deficit-style scheduler that gives a weight-8
+tenant 8× the service of a weight-1 tenant sharing the same hot output
+— plus an age override so no class can be starved past
+``starvation_cycles`` of relative delay.  The pick runs vectorized
+across destinations, once per frame; ties in credit (and in age) go to
+the class registered first.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from collections import deque
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..exceptions import AdmissionRejectedError
+import numpy as np
 
-__all__ = ["DEFAULT_TENANT", "QueueEntry", "VirtualOutputQueues"]
+from ..exceptions import AdmissionRejectedError, InputError
+
+__all__ = [
+    "DEFAULT_TENANT",
+    "MAX_TENANT_CLASSES",
+    "NO_TRACKER",
+    "VirtualOutputQueues",
+    "WORD_FIELDS",
+    "destination_array",
+]
 
 #: Tenant class words belong to when the sender names none.
 DEFAULT_TENANT = "default"
+
+#: Most tenant classes one VOQ holds, configured and auto-registered
+#: together.  Every class owns a ring per destination and is scanned on
+#: every frame, so a client inventing a new tenant name per request
+#: must hit this bound instead of growing server memory and per-frame
+#: work without limit.
+MAX_TENANT_CLASSES = 16
+
+#: Columns of a queued word: the last axis of the rings and of a
+#: :class:`~repro.server.scheduler.ScheduledFrame`'s ``words``.
+SLOT, INDEX, ENQUEUED, REQUEUES, CLASS = range(5)
+WORD_FIELDS = 5
+
+#: Tracker slot of a word admitted with no batch tracker behind it
+#: (the synchronous benchmark harness admits words this way).
+NO_TRACKER = -1
+
+_INT64_MIN = np.iinfo(np.int64).min
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def destination_array(values: Any, name: str = "destinations") -> np.ndarray:
+    """*values* as a one-dimensional int64 array, or :class:`InputError`.
+
+    The one check every entry point into the rings shares (the
+    gateway's ``send`` / ``send_batch`` and both clients' ``send_batch``):
+    float, bool and object input is refused instead of truncated, so
+    ``[1.5, 2.7]`` can never ride the fabric as outputs 1 and 2.  An
+    empty sequence is an empty batch.  Range checks are the caller's.
+    """
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError) as error:
+        raise InputError(f"{name} must be integers: {error}") from None
+    if array.dtype.kind not in "iu" and array.size:
+        raise InputError(
+            f"{name} must be integers, got {array.dtype} values"
+        )
+    if array.ndim != 1:
+        raise InputError(
+            f"{name} must be one-dimensional, got shape {array.shape}"
+        )
+    return np.ascontiguousarray(array, dtype=np.int64)
 
 
 def validate_tenants(
@@ -45,6 +114,10 @@ def validate_tenants(
         return
     if not tenants:
         raise ValueError("tenants must name at least one class")
+    if len(tenants) > MAX_TENANT_CLASSES:
+        raise ValueError(
+            f"at most {MAX_TENANT_CLASSES} tenant classes, got {len(tenants)}"
+        )
     for name, weight in tenants.items():
         if not isinstance(name, str) or not name:
             raise ValueError(
@@ -59,29 +132,6 @@ def validate_tenants(
                 f"tenant {name!r} needs an integer weight >= 1, "
                 f"got {weight!r}"
             )
-
-
-@dataclasses.dataclass(slots=True)
-class QueueEntry:
-    """One admitted word waiting for (or riding) a frame.
-
-    Every queued word is a ``(batch, batch_index)`` pair: ``batch`` is
-    the gateway's batch tracker and ``batch_index`` the word's position
-    in that batch.  Delivery fills the tracker's preallocated result
-    arrays at ``batch_index``, and the tracker's single future fires
-    when the whole batch has landed — a one-word ``send`` is a batch of
-    one.  The entry holds no payload and no future of its own.  The
-    synchronous benchmark harness admits words with ``batch=None``.
-    (Two plain fields, not a tuple: the admission loop builds one entry
-    per word, so even a tuple allocation shows up at full load.)
-    """
-
-    destination: int
-    enqueued_cycle: int
-    requeues: int = 0
-    batch: Any = None
-    batch_index: int = 0
-    tenant: str = DEFAULT_TENANT
 
 
 class _TenantRow:
@@ -102,151 +152,28 @@ class _TenantRow:
         self.rescues = 0
 
 
-class _TenantState:
-    """The one per-tenant row store, shared by every destination's
-    :class:`_TenantQueue`.
-
-    Weights are global (a tenant has one weight, not one per output).
-    A tenant unknown at construction registers with weight 1 the first
-    time one of its words is offered — accepted or not — so a
-    misconfigured client degrades to best-effort instead of erroring,
-    and its rejected words still show up in ``stats`` and the
-    ``repro_tenant_*`` metrics.
-    """
-
-    __slots__ = ("rows", "starvation_cycles")
-
-    def __init__(
-        self, weights: Mapping[str, int], starvation_cycles: int
-    ) -> None:
-        self.rows: Dict[str, _TenantRow] = {
-            name: _TenantRow(weight) for name, weight in weights.items()
-        }
-        self.starvation_cycles = starvation_cycles
-
-    def row(self, tenant: str) -> _TenantRow:
-        row = self.rows.get(tenant)
-        if row is None:
-            row = self.rows[tenant] = _TenantRow(1)
-        return row
-
-
-class _TenantQueue:
-    """One destination's queue in tenant mode: per-tenant FIFOs drained
-    by smoothed weighted round-robin with a starvation age override.
-
-    Mimics exactly the slice of the ``deque`` interface the VOQ uses
-    (``append``/``appendleft``/``popleft``/``clear``/``len``/iteration)
-    so every other code path — head picking, requeue, drain, depth
-    accounting — is identical between the two modes.
-
-    The pick is nginx-style smoothed weighted round-robin over the
-    *backlogged* tenants: each pick credits every backlogged tenant its
-    weight, serves the largest credit, and debits the winner by the
-    total — interleaving service proportionally to weight instead of
-    bursting.  Credits reset when a tenant's FIFO empties (plain DRR
-    semantics: an idle tenant banks nothing).  Before committing to the
-    weighted pick, the oldest head across tenants is checked: if it has
-    waited ``starvation_cycles`` longer than the pick's head, it is
-    served instead and the rescue is counted — a hard bound on relative
-    delay even under pathological weight ratios.
-    """
-
-    __slots__ = ("_state", "_fifos", "_credit", "_len")
-
-    def __init__(self, state: _TenantState) -> None:
-        self._state = state
-        self._fifos: Dict[str, Deque[QueueEntry]] = {}
-        self._credit: Dict[str, int] = {}
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __bool__(self) -> bool:
-        return self._len > 0
-
-    def __iter__(self):
-        for tenant in self._fifos:
-            yield from self._fifos[tenant]
-
-    def _fifo(self, tenant: str) -> Deque[QueueEntry]:
-        fifo = self._fifos.get(tenant)
-        if fifo is None:
-            fifo = self._fifos[tenant] = deque()
-            self._credit[tenant] = 0
-        return fifo
-
-    def append(self, entry: QueueEntry) -> None:
-        self._fifo(entry.tenant).append(entry)
-        self._len += 1
-
-    def appendleft(self, entry: QueueEntry) -> None:
-        self._fifo(entry.tenant).appendleft(entry)
-        self._len += 1
-
-    def clear(self) -> None:
-        for fifo in self._fifos.values():
-            fifo.clear()
-        self._len = 0
-
-    def tenant_depths(self) -> Dict[str, int]:
-        return {
-            tenant: len(fifo)
-            for tenant, fifo in self._fifos.items()
-            if fifo
-        }
-
-    def popleft(self) -> QueueEntry:
-        if not self._len:
-            raise IndexError("pop from an empty tenant queue")
-        state = self._state
-        fifos = self._fifos
-        backlogged = [tenant for tenant, fifo in fifos.items() if fifo]
-        if len(backlogged) == 1:
-            pick = backlogged[0]
-        else:
-            rows = state.rows
-            credit = self._credit
-            total = 0
-            pick = backlogged[0]
-            best: Optional[int] = None
-            for tenant in backlogged:
-                weight = rows[tenant].weight
-                total += weight
-                value = credit[tenant] + weight
-                credit[tenant] = value
-                if best is None or value > best:
-                    best = value
-                    pick = tenant
-            oldest = min(
-                backlogged,
-                key=lambda tenant: fifos[tenant][0].enqueued_cycle,
-            )
-            if (
-                oldest != pick
-                and fifos[oldest][0].enqueued_cycle + state.starvation_cycles
-                < fifos[pick][0].enqueued_cycle
-            ):
-                state.rows[oldest].rescues += 1
-                pick = oldest
-            credit[pick] -= total
-        fifo = fifos[pick]
-        entry = fifo.popleft()
-        if not fifo:
-            self._credit[pick] = 0
-        self._len -= 1
-        state.rows[pick].served += 1
-        return entry
+def _ranks(keys: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Stable rank of each key among the equal keys before it."""
+    order = np.argsort(keys, kind="stable")
+    starts = np.cumsum(counts) - counts
+    ranks = np.empty(keys.shape[0], dtype=np.int64)
+    ranks[order] = np.arange(keys.shape[0]) - starts[keys[order]]
+    return ranks
 
 
 class VirtualOutputQueues:
-    """``n`` bounded FIFOs, one per output, with round-robin head pick.
+    """``n`` bounded FIFOs, one per output (per class), as int64 rings.
 
-    The round-robin start pointer makes :meth:`pop_heads` fair: when
-    more than ``limit`` destinations have backlog, successive frames
-    rotate which destinations ride first instead of always favouring
-    low-numbered outputs.
+    ``capacity`` bounds the words queued for one destination across
+    all classes.  The rings are allocated at construction, one slot per
+    unit of capacity; only :meth:`requeue_front` (a plane died with
+    words in flight) can grow them.  A tenant unknown at construction
+    registers as a new class with weight 1 the first time one of its
+    words is offered — accepted or not — so a misconfigured client
+    degrades to best-effort instead of erroring, and its rejected words
+    still show up in ``stats`` and the ``repro_tenant_*`` metrics.
+    Past :data:`MAX_TENANT_CLASSES` classes a new name is refused with
+    :class:`InputError`.
     """
 
     def __init__(
@@ -263,17 +190,25 @@ class VirtualOutputQueues:
         validate_tenants(tenants, starvation_cycles)
         self.n = n
         self.capacity = capacity
-        if tenants is None:
-            self._tenant_state: Optional[_TenantState] = None
-            self._queues: List[Deque[QueueEntry]] = [
-                deque() for _ in range(n)
-            ]
-        else:
-            self._tenant_state = _TenantState(tenants, starvation_cycles)
-            self._queues = [
-                _TenantQueue(self._tenant_state) for _ in range(n)
-            ]
-        self._rr_start = 0
+        self.starvation_cycles = starvation_cycles
+        #: Tenant rows indexed by class (registration order), or
+        #: ``None`` when tenant scheduling is off.
+        self._rows: Optional[List[_TenantRow]] = (
+            None
+            if tenants is None
+            else [_TenantRow(weight) for weight in tenants.values()]
+        )
+        self._class_of: Dict[str, int] = {
+            name: index for index, name in enumerate(tenants or ())
+        }
+        classes = max(1, len(self._class_of))
+        # Slots past a queue's depth are never read unmasked, so the
+        # rings need no zeroing (a zeroed ring would cost a memset of
+        # the whole table at every gateway start).
+        self._ring = np.empty((classes, n, capacity, WORD_FIELDS), np.int64)
+        self._head, self._depth, self._credit = np.zeros(
+            (3, classes, n), dtype=np.int64
+        )
         self._queued = 0  # maintained so ``total`` is O(1) on the hot path
         # Admission counters (offered = accepted + rejected).
         self.offered = 0
@@ -286,12 +221,41 @@ class VirtualOutputQueues:
     def tenants(self) -> Optional[Dict[str, int]]:
         """Live tenant weights (including auto-registered ones), or
         ``None`` when tenant scheduling is off."""
-        if self._tenant_state is None:
+        if self._rows is None:
             return None
         return {
-            name: row.weight
-            for name, row in self._tenant_state.rows.items()
+            name: row.weight for name, row in zip(self._class_of, self._rows)
         }
+
+    @property
+    def class_names(self) -> List[str]:
+        """Tenant name of each class, in class order (empty untenanted)."""
+        return list(self._class_of)
+
+    def _class(self, tenant: str) -> int:
+        """The class of *tenant*, registering it on first sight."""
+        if self._rows is None:
+            return 0
+        index = self._class_of.get(tenant)
+        if index is None:
+            if len(self._rows) == MAX_TENANT_CLASSES:
+                raise InputError(
+                    f"tenant {tenant!r} refused: this gateway already "
+                    f"serves {MAX_TENANT_CLASSES} tenant classes"
+                )
+            index = self._class_of[tenant] = len(self._rows)
+            self._rows.append(_TenantRow(1))
+            self._ring = np.concatenate(
+                [self._ring, np.empty_like(self._ring[:1])]
+            )
+            for name in ("_head", "_depth", "_credit"):
+                grid = getattr(self, name)
+                setattr(self, name, np.vstack([grid, np.zeros_like(grid[:1])]))
+        return index
+
+    def dest_depths(self) -> np.ndarray:
+        """Words queued per destination, over every class (a fresh array)."""
+        return self._depth.sum(axis=0)
 
     # ------------------------------------------------------------------
     # Admission
@@ -302,158 +266,275 @@ class VirtualOutputQueues:
         cycle: int,
         *,
         tenant: str = DEFAULT_TENANT,
-        tracker: Any = None,
+        tracker: int = NO_TRACKER,
         index: int = 0,
     ) -> None:
         """Enqueue one word or raise :class:`AdmissionRejectedError`.
 
         A one-word call into :meth:`admit_batch`: the word is position
-        *index* of *tracker*'s batch, enqueued at *cycle*.  The
-        retry-after hint is the queue's current depth: the fabric drains
-        at most one word per destination per frame, so a full queue
-        needs at least ``depth`` cycles before a slot frees.  A
-        destination with no queue is rejected without being counted as
-        offered.
+        *index* of the batch in tracker slot *tracker*, enqueued at
+        *cycle*.  The retry-after hint is the queue's current depth: the
+        fabric drains at most one word per destination per frame, so a
+        full queue needs at least ``depth`` cycles before a slot frees.
+        A destination with no queue is rejected without being counted
+        as offered.
         """
         if not 0 <= destination < self.n:
             raise AdmissionRejectedError(destination, 0, 0)
-        hints: Dict[int, int] = {}
-        _admitted, rejected = self.admit_batch(
-            {index: destination}, cycle, tracker, hints, (index,), tenant
+        _admitted, rejected, hints = self.admit_batch(
+            np.array([destination], dtype=np.int64),
+            cycle,
+            tracker,
+            np.array([index], dtype=np.int64),
+            tenant,
         )
-        if rejected:
-            raise AdmissionRejectedError(
-                destination, hints[index], hints[index]
-            )
+        if rejected.size:
+            hint = int(hints[0])
+            raise AdmissionRejectedError(destination, hint, hint)
 
     def admit_batch(
         self,
         dests: Any,
         cycle: int,
-        tracker: Any,
-        retry_after: Any,
-        indices: Any,
+        tracker: int = NO_TRACKER,
+        indices: Any = None,
         tenant: str = DEFAULT_TENANT,
-    ) -> Tuple[int, List[int]]:
-        """Admit the batch words at *indices*; return ``(admitted, rejected)``.
+    ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Admit words in one pass; return ``(admitted, rejected, hints)``.
 
-        The word at ``index`` goes to ``dests[index]`` and is queued as
-        ``(tracker, index)``.  The whole admission loop lives here so
-        the per-word cost is a capacity check and a deque append with
-        every lookup hoisted — no per-word method call, no per-word
-        exception.  Rejected indices get their depth written into
-        ``retry_after[index]`` (the same hint :meth:`admit` raises);
-        accepted indices are **not** cleared — the caller zeroes the
-        hints of any indices it re-offers (a fresh batch's array starts
-        zeroed), keeping the accept path free of per-word numpy stores.
-        The caller owns observer notification and any retry rounds.
+        ``dests[k]`` is the destination of the word at batch position
+        ``indices[k]`` (``indices`` defaults to ``0..len(dests)-1``);
+        accepted words queue as ``(tracker, index)`` rows in arrival
+        order.  A destination accepts as many words as it has free
+        slots, first come first served; ``rejected`` lists the batch
+        indices of the rest and ``hints`` their retry-after cycles —
+        the depth :meth:`admit` raises, ``max(depth, capacity)``.
         Destinations must already be range-checked (the gateway
-        validates the whole array in one vectorized pass).
+        validates the whole array in one vectorized pass).  The caller
+        owns observer notification and any retry rounds.
         """
-        queues = self._queues
-        capacity = self.capacity
-        max_depth = self.max_depth
-        entry_cls = QueueEntry
-        admitted = 0
-        rejected: List[int] = []
-        rejected_append = rejected.append
-        for index in indices:
-            dest = dests[index]
-            queue = queues[dest]
-            depth = len(queue)
-            if depth < capacity:
-                queue.append(entry_cls(dest, cycle, 0, tracker, index, tenant))
-                admitted += 1
-                if depth >= max_depth:
-                    max_depth = depth + 1
-            else:
-                retry_after[index] = depth
-                rejected_append(index)
-        self.max_depth = max_depth
-        offered = admitted + len(rejected)
-        self.offered += offered
+        dests = np.asarray(dests, dtype=np.int64)
+        count = dests.shape[0]
+        indices = (
+            np.arange(count, dtype=np.int64)
+            if indices is None
+            else np.asarray(indices, dtype=np.int64)
+        )
+        cls = self._class(tenant)
+        per_dest = np.bincount(dests, minlength=self.n)
+        before = self.dest_depths()
+        # A requeue can leave a queue above capacity: no free slots.
+        free = np.maximum(self.capacity - before, 0)
+        ranks = _ranks(dests, per_dest)
+        accept = ranks < free[dests]
+        taken = np.minimum(per_dest, free)
+        accepted_dests = dests[accept]
+        rejected = indices[~accept]
+        hints = np.maximum(before[dests[~accept]], self.capacity)
+        admitted = accepted_dests.shape[0]
+        if admitted:
+            ring = self._ring[cls]
+            depth = self._depth[cls]
+            slots = (
+                self._head[cls, accepted_dests]
+                + depth[accepted_dests]
+                + ranks[accept]
+            ) % ring.shape[1]
+            rows = np.empty((admitted, WORD_FIELDS), dtype=np.int64)
+            rows[:] = (tracker, 0, cycle, 0, cls)  # the WORD_FIELDS order
+            rows[:, INDEX] = indices[accept]
+            ring[accepted_dests, slots] = rows
+            depth += taken
+            # Every queue's depth is already within max_depth, so the
+            # deepest queue after this batch is the only candidate.
+            self.max_depth = max(self.max_depth, int((before + taken).max()))
+        self.offered += count
         self.accepted += admitted
-        self.rejected += len(rejected)
+        self.rejected += count - admitted
         self._queued += admitted
-        if self._tenant_state is not None:
-            row = self._tenant_state.row(tenant)
-            row.offered += offered
+        if self._rows is not None:
+            row = self._rows[cls]
+            row.offered += count
             row.accepted += admitted
-            row.rejected += len(rejected)
-        return admitted, rejected
+            row.rejected += count - admitted
+        return admitted, rejected, hints
 
-    def requeue_front(self, entries: List[QueueEntry]) -> None:
-        """Put already-admitted entries back at the head of their queues.
+    def requeue_front(self, dests: np.ndarray, words: np.ndarray) -> None:
+        """Put already-admitted words back at the head of their queues.
 
-        Used when a plane dies with frames in flight: the words were
-        admitted once and must not be re-rejected, so this may push a
-        queue transiently above capacity (new admissions still bounce
-        until it drains).
+        *words* are ``(count, WORD_FIELDS)`` rows lifted off frames a
+        plane will never deliver, *dests* their destinations, oldest
+        frame first; they return to their own class's queue ahead of
+        everything queued, in the same order, with their requeue count
+        raised by one.  The words were admitted once and must not be
+        re-rejected, so this may push a queue above capacity (new
+        admissions still bounce until it drains) — and grows the rings
+        when a queue outgrows them.
         """
-        for entry in reversed(entries):
-            entry.requeues += 1
-            self._queues[entry.destination].appendleft(entry)
-            self.requeued += 1
-            self._queued += 1
-            if self._tenant_state is not None:
-                self._tenant_state.row(entry.tenant).requeued += 1
-            self.max_depth = max(
-                self.max_depth, len(self._queues[entry.destination])
-            )
+        count = dests.shape[0]
+        if not count:
+            return
+        classes = self._depth.shape[0]
+        words = words.copy()
+        words[:, REQUEUES] += 1
+        cls = words[:, CLASS]
+        keys = cls * self.n + dests
+        per_queue = np.bincount(keys, minlength=classes * self.n)
+        needed = int((self._depth.ravel() + per_queue).max())
+        if needed > self._ring.shape[2]:
+            self._grow(needed)
+        size = self._ring.shape[2]
+        per_queue = per_queue.reshape(classes, self.n)
+        head = (self._head - per_queue) % size
+        slots = (head[cls, dests] + _ranks(keys, per_queue.ravel())) % size
+        self._ring[cls, dests, slots] = words
+        self._head = head
+        self._depth += per_queue
+        self._queued += count
+        self.requeued += count
+        self.max_depth = max(
+            self.max_depth, int(self.dest_depths()[dests].max())
+        )
+        if self._rows is not None:
+            for row, requeued in zip(self._rows, per_queue.sum(axis=1).tolist()):
+                row.requeued += requeued
+
+    def _grow(self, size: int) -> None:
+        """Re-lay every ring from slot 0 in a ring of at least *size*."""
+        old = self._ring.shape[2]
+        size = max(size, 2 * old)
+        order = (self._head[..., None] + np.arange(old)) % old
+        ring = np.empty(self._ring.shape[:2] + (size, WORD_FIELDS), np.int64)
+        ring[:, :, :old] = np.take_along_axis(
+            self._ring, order[..., None], axis=2
+        )
+        self._ring = ring
+        self._head[:] = 0
 
     # ------------------------------------------------------------------
     # Draining
     # ------------------------------------------------------------------
-    def pop_heads(self, limit: Optional[int] = None) -> List[QueueEntry]:
-        """Pop the head word of up to *limit* distinct non-empty queues.
+    def pop_frames(self, addresses: np.ndarray) -> np.ndarray:
+        """Pop a window of frames; return their words on their lines.
 
-        By construction the result has pairwise-distinct destinations —
-        exactly the conflict-free partial traffic one frame can carry.
+        *addresses* is the ``(frames, n)`` line layout the scheduler
+        built: row ``j`` carries, on some line, the head of every
+        destination with more than ``j`` words queued — pairwise-
+        distinct destinations, exactly the conflict-free partial traffic
+        one frame can carry.  Returns ``(frames, n, WORD_FIELDS)`` rows
+        in line order; lines of destinations that had no word for that
+        frame (idle filler) hold stale rows the caller masks off.
         """
-        if limit is None:
-            limit = self.n
-        picked: List[QueueEntry] = []
-        if limit > 0:
-            append = picked.append
-            queues = self._queues
-            start = self._rr_start
-            # Two straight slices instead of a modulo per destination.
-            for queue in queues[start:]:
-                if queue:
-                    append(queue.popleft())
-                    if len(picked) >= limit:
-                        break
-            else:
-                for queue in queues[:start]:
-                    if queue:
-                        append(queue.popleft())
-                        if len(picked) >= limit:
-                            break
-        self._rr_start = (self._rr_start + 1) % self.n
-        self._queued -= len(picked)
-        return picked
+        frames = addresses.shape[0]
+        size = self._ring.shape[2]
+        if self._depth.shape[0] == 1:
+            depth = self._depth[0]
+            taken = np.minimum(depth, frames)
+            slots = (self._head[0][addresses] + np.arange(frames)[:, None]) % size
+            words = self._ring[0][addresses, slots]
+            self._head[0] = (self._head[0] + taken) % size
+            depth -= taken
+            popped = int(taken.sum())
+            if self._rows is not None:
+                self._rows[0].served += popped
+        else:
+            picks, slots = self._pick_window(frames)
+            picks = np.take_along_axis(picks, addresses, axis=1)
+            slots = np.take_along_axis(slots, addresses, axis=1)
+            words = self._ring[picks, addresses, slots]
+            popped = int((picks >= 0).sum())
+        self._queued -= popped
+        return words
+
+    def _pick_window(self, frames: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Tenant mode: the class and ring slot each destination serves
+        in each of *frames* frames (``-1`` where it has no word).
+
+        Per frame, for every destination at once: credit every
+        backlogged class its weight, serve the largest credit, debit
+        the winner by the total — unless the oldest head has waited
+        ``starvation_cycles`` longer than the winner's, which is then
+        served instead and counted as a rescue.  A lone backlogged class
+        is served without touching credits, and a class's credit resets
+        when its queue empties (an idle tenant banks nothing).
+        """
+        classes = self._depth.shape[0]
+        lines = np.arange(self.n)
+        grid = np.arange(classes)[:, None]
+        weights = np.array(
+            [[row.weight] for row in self._rows], dtype=np.int64
+        )
+        ring, head, depth, credit = (
+            self._ring, self._head, self._depth, self._credit
+        )
+        size = ring.shape[2]
+        picks = np.full((frames, self.n), -1, dtype=np.int64)
+        slots = np.zeros((frames, self.n), dtype=np.int64)
+        served = np.zeros(classes, dtype=np.int64)
+        rescues = np.zeros(classes, dtype=np.int64)
+        for frame in range(frames):
+            backlogged = depth > 0
+            contenders = backlogged.sum(axis=0)
+            pick = np.argmax(backlogged, axis=0)
+            contested = contenders > 1
+            if contested.any():
+                offered = np.where(backlogged & contested, weights, 0)
+                credit += offered
+                weighted = np.argmax(
+                    np.where(backlogged, credit, _INT64_MIN), axis=0
+                )
+                ages = ring[grid, lines, head, ENQUEUED]
+                oldest = np.argmin(
+                    np.where(backlogged, ages, _INT64_MAX), axis=0
+                )
+                rescue = (
+                    contested
+                    & (oldest != weighted)
+                    & (
+                        ages[oldest, lines] + self.starvation_cycles
+                        < ages[weighted, lines]
+                    )
+                )
+                rescues += np.bincount(oldest[rescue], minlength=classes)
+                pick = np.where(
+                    contested, np.where(rescue, oldest, weighted), pick
+                )
+                credit[pick, lines] -= offered.sum(axis=0)
+            live = lines[contenders > 0]
+            pick = pick[live]
+            picks[frame, live] = pick
+            slots[frame, live] = head[pick, live]
+            head[pick, live] = (head[pick, live] + 1) % size
+            depth[pick, live] -= 1
+            emptied = depth[pick, live] == 0
+            credit[pick[emptied], live[emptied]] = 0
+            served += np.bincount(pick, minlength=classes)
+        for row, count, rescued in zip(
+            self._rows, served.tolist(), rescues.tolist()
+        ):
+            row.served += count
+            row.rescues += rescued
+        return picks, slots
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def depth(self, destination: int) -> int:
-        return len(self._queues[destination])
+        return int(self._depth[:, destination].sum())
 
     @property
     def total(self) -> int:
         return self._queued
 
     def depths(self) -> List[int]:
-        return [len(queue) for queue in self._queues]
+        return self.dest_depths().tolist()
 
-    def drain_all(self) -> List[QueueEntry]:
-        """Remove and return every queued entry (gateway shutdown)."""
-        stranded: List[QueueEntry] = []
-        for queue in self._queues:
-            stranded.extend(queue)
-            queue.clear()
+    def drain_all(self) -> int:
+        """Drop every queued word (gateway shutdown); return how many."""
+        dropped = self._queued
+        self._depth[:] = 0
         self._queued = 0
-        return stranded
+        return dropped
 
     def tenant_snapshot(self) -> Optional[Dict[str, Dict[str, Any]]]:
         """Per-tenant fairness accounting, or ``None`` when tenants are off.
@@ -463,17 +544,15 @@ class VirtualOutputQueues:
         count is the signal that one class was held off long enough for
         the age guard to intervene.
         """
-        state = self._tenant_state
-        if state is None:
+        if self._rows is None:
             return None
-        queued: Dict[str, int] = {}
-        for queue in self._queues:
-            for tenant, depth in queue.tenant_depths().items():  # type: ignore[union-attr]
-                queued[tenant] = queued.get(tenant, 0) + depth
+        queued = self._depth.sum(axis=1).tolist()
+        # Class order is registration order, in both the name map and
+        # the row list.
         return {
             tenant: {
                 "weight": row.weight,
-                "queued": queued.get(tenant, 0),
+                "queued": depth,
                 "served": row.served,
                 "starvation_rescues": row.rescues,
                 "offered": row.offered,
@@ -481,7 +560,7 @@ class VirtualOutputQueues:
                 "rejected": row.rejected,
                 "requeued": row.requeued,
             }
-            for tenant, row in state.rows.items()
+            for tenant, row, depth in zip(self._class_of, self._rows, queued)
         }
 
     def snapshot(self) -> Dict[str, Any]:

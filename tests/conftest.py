@@ -6,8 +6,16 @@ import asyncio
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.permutations import PermutationSampler
+
+#: ``--hypothesis-profile=ci`` (the CI benchmarks-smoke job) runs the
+#: hypothesis tests that leave ``max_examples`` unset with ten times
+#: the default examples; everything else keeps the default profile.
+settings.register_profile(
+    "ci", max_examples=10 * settings.get_profile("default").max_examples
+)
 
 #: Hard wall for any one async test; a wedged event loop fails fast
 #: instead of hanging the suite.

@@ -410,6 +410,19 @@ class TestClusterEndToEnd:
         assert set(batch["nodes"]) == {"node-0", "node-1", "node-2"}
         assert all(count == 8 for count in batch["nodes"].values())
 
+    def test_send_batch_refuses_non_integer_dests(self, run_async):
+        async def scenario():
+            async with make_cluster(nodes=2, m=2) as router:
+                seeds = list(router.supervisor.addresses.values())
+                async with ClusterClient(seeds) as client:
+                    with pytest.raises(InputError, match="integers"):
+                        await client.send_batch([1.5, 2.7])
+                    with pytest.raises(InputError, match="integers"):
+                        await client.send_batch(np.array([0.0, 5.0]))
+                    return client.counters["batches"]
+
+        assert run_async(scenario()) == 0
+
     def test_kill_reshards_and_keeps_delivering(self, run_async):
         async def scenario():
             async with make_cluster(nodes=3, m=3) as router:

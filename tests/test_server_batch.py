@@ -97,6 +97,29 @@ class TestSendBatch:
 
         run_async(scenario())
 
+    @pytest.mark.parametrize(
+        "destinations",
+        [
+            [1.5, 2.7],
+            np.array([1.9, 0.2]),
+            [True, False],
+            np.array([1, "2"], dtype=object),
+        ],
+        ids=["float-list", "float-array", "bool-list", "object-array"],
+    )
+    def test_non_integer_destinations_raise(self, run_async, destinations):
+        # Truncating [1.5, 2.7] to outputs 1 and 2 would deliver words
+        # the caller never addressed.
+        async def scenario():
+            async with AsyncGateway(_batch_config(m=3)) as gateway:
+                with pytest.raises(InputError, match="integers"):
+                    await gateway.send_batch(destinations)
+                with pytest.raises(InputError, match="integers"):
+                    await gateway.send(destinations[-1])
+                return gateway.voqs.offered
+
+        assert run_async(scenario()) == 0
+
     def test_overload_marks_rejects_with_hints(self, run_async):
         async def scenario():
             config = GatewayConfig(
@@ -137,6 +160,37 @@ class TestSendBatch:
         assert result.delivered == 10
         assert result.rejected == 0
         assert result.statuses.all()
+
+    def test_retrying_batch_is_not_starved_by_closed_loop_callers(
+        self, run_async
+    ):
+        # Two callers resubmit a queue-filling burst the moment their
+        # last one completes.  A third batch waiting out its retry hint
+        # must wake before them in the cycle that frees the slots, or
+        # its retry period locks onto their completion period and it
+        # finds the queues full on every round.
+        async def scenario():
+            config = _batch_config(m=3, capacity=4, window=4)
+            async with AsyncGateway(config) as gateway:
+                burst = np.tile(np.arange(8, dtype=np.int64), 4)
+                done = False
+
+                async def closed_loop():
+                    for _round in range(200):
+                        if done:
+                            return
+                        await gateway.send_batch(burst)
+
+                loops = [asyncio.ensure_future(closed_loop()) for _ in "ab"]
+                await gateway.wait_cycles(1)
+                result = await gateway.send_batch(burst, retry_attempts=8)
+                done = True
+                await asyncio.gather(*loops)
+            return result
+
+        result = run_async(scenario())
+        assert result.rejected == 0
+        assert result.delivered == 32
 
     def test_no_healthy_plane_raises_upfront(self, run_async):
         async def scenario():
@@ -231,6 +285,25 @@ class TestClientBatch:
         assert result["statuses"].dtype == np.int64
         assert result["statuses"].all()
         assert result["mode_table"] == ["clean"]
+
+    def test_client_send_batch_refuses_non_integer_dests(self, run_async):
+        async def scenario():
+            gateway = await AsyncGateway(_batch_config(m=3)).start()
+            server = await GatewayServer(gateway).start()
+            try:
+                async with GatewayClient(
+                    "127.0.0.1", server.port, binary=True
+                ) as client:
+                    with pytest.raises(InputError, match="integers"):
+                        await client.send_batch([1.5, 2.7])
+                    with pytest.raises(InputError, match="integers"):
+                        await client.send_batch(np.array([True, False]))
+            finally:
+                await server.stop()
+                await gateway.stop()
+            return gateway.voqs.offered
+
+        assert run_async(scenario()) == 0
 
     def test_client_side_send_retry_honours_hints(self, run_async):
         async def scenario():

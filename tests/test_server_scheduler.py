@@ -46,12 +46,13 @@ class TestFrameScheduler:
         scheduler = FrameScheduler(n)
         frame = scheduler.next_frame(voqs, cycle=1)
         # One head per distinct destination: {3, 6, 0}.
-        assert set(frame.entries) == {3, 6, 0}
+        real = frame.addresses[0, : int(frame.active[0])].tolist()
+        assert set(real) == {3, 6, 0}
         assert frame.active == 3
         # The words really are routable by a BNB network, filler and all.
-        outputs, _record = BNBNetwork(3).route(frame.words)
-        for dest, entry in frame.entries.items():
-            assert outputs[dest].payload is entry
+        outputs, _record = BNBNetwork(3).route(frame.line_words())
+        for line, dest in enumerate(real):
+            assert outputs[dest].payload == line
 
     def test_fifo_per_destination_across_frames(self):
         n = 8
@@ -60,7 +61,8 @@ class TestFrameScheduler:
         seen = []
         for cycle in range(3):
             frame = scheduler.next_frame(voqs, cycle=cycle)
-            seen.append(frame.entries[4].batch_index)
+            line = frame.addresses[0].tolist().index(4)
+            seen.append(int(frame.indices[0, line]))
         assert seen == [0, 1, 2]
 
     def test_idle_returns_none(self):
@@ -87,10 +89,11 @@ class TestFrameScheduler:
         n = 8
         voqs = fill_voqs(n, [7])
         frame = FrameScheduler(n).next_frame(voqs, cycle=0)
-        real = [word for word in frame.words if word.payload is not None]
+        words = frame.line_words()
+        real = [word for word in words if word.payload is not None]
         assert len(real) == 1
         assert real[0].address == 7
-        assert sorted(word.address for word in frame.words) == list(range(n))
+        assert sorted(word.address for word in words) == list(range(n))
 
     def test_tags_are_unique_and_increasing(self):
         n = 4

@@ -9,9 +9,19 @@ from repro.exceptions import AdmissionRejectedError, InputError
 from repro.server import (
     DEFAULT_TENANT,
     AsyncGateway,
+    FrameScheduler,
     GatewayConfig,
     VirtualOutputQueues,
 )
+from repro.server.voq import CLASS, INDEX, MAX_TENANT_CLASSES
+
+
+def pop_line0(voqs, scheduler=None):
+    """The word on line 0 of the next frame — with one destination
+    backlogged, that destination's head — as ``(tenant, batch index)``."""
+    frame = (scheduler or FrameScheduler(voqs.n)).next_frame(voqs, 0)
+    word = frame.words[0, 0]
+    return voqs.class_names[int(word[CLASS])], int(word[INDEX])
 
 
 class TestTenantQueueScheduling:
@@ -22,7 +32,7 @@ class TestTenantQueueScheduling:
         for k in range(16):
             voqs.admit(0, k, tenant="gold")
             voqs.admit(0, k, tenant="bronze")
-        served = [voqs.pop_heads(1)[0].tenant for _ in range(16)]
+        served = [pop_line0(voqs)[0] for _ in range(16)]
         # Smoothed weighted round-robin: exactly weight-proportional
         # service over any window while both classes stay backlogged.
         assert served.count("gold") == 12
@@ -33,7 +43,7 @@ class TestTenantQueueScheduling:
     def test_single_backlogged_class_bypasses_the_scheduler(self):
         voqs = VirtualOutputQueues(4, capacity=8, tenants={"gold": 7})
         voqs.admit(1, 0, tenant="gold")
-        assert voqs.pop_heads(1)[0].tenant == "gold"
+        assert pop_line0(voqs)[0] == "gold"
 
     def test_unknown_tenant_auto_registers_with_weight_one(self):
         voqs = VirtualOutputQueues(4, capacity=8, tenants={"gold": 2})
@@ -41,6 +51,27 @@ class TestTenantQueueScheduling:
         rows = voqs.tenant_snapshot()
         assert rows["walkin"]["weight"] == 1
         assert rows["walkin"]["queued"] == 1
+
+    def test_new_tenant_names_stop_at_the_class_bound(self):
+        # A client inventing a tenant name per request must not grow the
+        # rings (or the per-frame class scan) without limit.
+        voqs = VirtualOutputQueues(4, capacity=8, tenants={"gold": 2})
+        refused = 0
+        for k in range(200):
+            try:
+                voqs.admit(k % 4, k, tenant=f"walkin-{k}")
+            except AdmissionRejectedError:
+                pass
+            except InputError:
+                refused += 1
+        assert refused == 200 - (MAX_TENANT_CLASSES - 1)
+        assert len(voqs.tenants) == MAX_TENANT_CLASSES
+        assert voqs._ring.shape[0] == MAX_TENANT_CLASSES
+        assert voqs._depth.shape[0] == MAX_TENANT_CLASSES
+        # Refused words are not offered; known classes still admit.
+        assert voqs.offered == MAX_TENANT_CLASSES - 1
+        voqs.admit(0, 0, tenant="gold")
+        assert voqs.tenant_snapshot()["gold"]["accepted"] == 1
 
     def test_starvation_rescue_overrides_the_weighted_pick(self):
         voqs = VirtualOutputQueues(
@@ -53,9 +84,26 @@ class TestTenantQueueScheduling:
         voqs.admit(0, 0, tenant="bronze")
         for k in range(64):
             voqs.admit(0, 100 + k, tenant="gold")
-        first = voqs.pop_heads(1)[0]
-        assert first.tenant == "bronze"
+        first_tenant, _ = pop_line0(voqs)
+        assert first_tenant == "bronze"
         assert voqs.tenant_snapshot()["bronze"]["starvation_rescues"] == 1
+
+    def test_credit_resets_when_a_tenant_queue_empties(self):
+        voqs = VirtualOutputQueues(
+            1, capacity=8, tenants={"gold": 2, "bronze": 1}
+        )
+        voqs.admit(0, 0, tenant="gold")
+        voqs.admit(0, 0, tenant="bronze")
+        scheduler = FrameScheduler(1)
+        # Credits gold 2, bronze 1: gold wins and is debited to -1, then
+        # its queue empties and the debt is forgiven (an idle tenant
+        # banks nothing, in either direction).
+        assert pop_line0(voqs, scheduler)[0] == "gold"
+        for _ in range(3):
+            voqs.admit(0, 0, tenant="gold")
+        # Gold 0 + 2 ties bronze 1 + 1: the tie goes to the tenant
+        # registered first.  Keeping the debt would hand it to bronze.
+        assert pop_line0(voqs, scheduler)[0] == "gold"
 
     def test_fifo_order_preserved_within_a_tenant(self):
         voqs = VirtualOutputQueues(4, capacity=16, tenants={"a": 1, "b": 1})
@@ -63,14 +111,14 @@ class TestTenantQueueScheduling:
             voqs.admit(3, k, tenant="a", index=k)
         served = []
         while voqs.total:
-            served.extend(e.batch_index for e in voqs.pop_heads(1))
+            served.append(pop_line0(voqs)[1])
         assert served == [0, 1, 2, 3]
 
     def test_requeue_front_returns_to_the_owning_tenant(self):
         voqs = VirtualOutputQueues(4, capacity=16, tenants={"a": 1, "b": 8})
         voqs.admit(0, 0, tenant="a")
-        popped = voqs.pop_heads(1)
-        voqs.requeue_front(popped)
+        popped = FrameScheduler(4).next_frame(voqs, 0).stranded()
+        voqs.requeue_front(popped.dests, popped.words)
         rows = voqs.tenant_snapshot()
         assert rows["a"]["requeued"] == 1
         assert rows["a"]["queued"] == 1
@@ -79,9 +127,8 @@ class TestTenantQueueScheduling:
         # An unknown tenant whose words are all rejected still gets a
         # row: the rows account for every offered word.
         voqs = VirtualOutputQueues(4, 1, tenants={"gold": 2})
-        hints = [0, 0]
         for tenant in ("gold", "walkin"):
-            voqs.admit_batch([0, 0], 0, None, hints, range(2), tenant)
+            voqs.admit_batch([0, 0], 0, tenant=tenant)
         snap = voqs.snapshot()
         assert (snap["offered"], snap["accepted"], snap["rejected"]) == (
             4, 1, 3
@@ -99,6 +146,9 @@ class TestTenantQueueScheduling:
             VirtualOutputQueues(4, capacity=8, tenants={"": 2})
         with pytest.raises(ValueError):
             VirtualOutputQueues(4, capacity=8, tenants={"b": True})
+        too_many = {f"t{k}": 1 for k in range(MAX_TENANT_CLASSES + 1)}
+        with pytest.raises(ValueError, match="at most"):
+            VirtualOutputQueues(4, capacity=8, tenants=too_many)
 
     def test_untenanted_mode_has_no_tenant_surface(self):
         voqs = VirtualOutputQueues(4, capacity=8)
@@ -126,6 +176,21 @@ class TestGatewayTenants:
             GatewayConfig(m=2, tenants={"x": 0})
         with pytest.raises(ValueError):
             GatewayConfig(m=2, tenants={"x": 1}, starvation_cycles=0)
+
+    def test_send_batch_refuses_a_tenant_past_the_class_bound(self):
+        async def scenario():
+            full = {f"t{k}": 1 for k in range(MAX_TENANT_CLASSES)}
+            config = GatewayConfig(m=2, queue_capacity=8, tenants=full)
+            async with AsyncGateway(config) as gateway:
+                with pytest.raises(InputError, match="tenant 'stranger'"):
+                    await gateway.send_batch([0, 1], tenant="stranger")
+                result = await gateway.send_batch([0, 1], tenant="t3")
+                return result, gateway
+
+        result, gateway = self.run(scenario())
+        assert result.delivered == 2
+        assert "stranger" not in gateway.tenant_snapshot()
+        assert not gateway._trackers
 
     def test_send_attributes_latency_to_the_tenant(self):
         async def scenario():

@@ -1,13 +1,29 @@
 """Virtual output queues: admission, backpressure, fairness."""
 
+import numpy as np
 import pytest
 
 from repro.exceptions import AdmissionRejectedError
-from repro.server import QueueEntry, VirtualOutputQueues
+from repro.server import FrameScheduler, VirtualOutputQueues
+from repro.server.voq import INDEX, WORD_FIELDS
 
 
-def entry(dest, index=0):
-    return QueueEntry(destination=dest, enqueued_cycle=0, batch_index=index)
+def stranded(dests, indices):
+    """The ``(dests, words)`` arrays of words lifted off a dead plane."""
+    words = np.zeros((len(dests), WORD_FIELDS), dtype=np.int64)
+    words[:, INDEX] = indices
+    return np.asarray(dests, dtype=np.int64), words
+
+
+def pop_frame(voqs, scheduler):
+    """One frame's real words: (destinations, batch indices, requeues)."""
+    frame = scheduler.next_frame(voqs, 0)
+    active = int(frame.active[0])
+    return (
+        frame.addresses[0, :active].tolist(),
+        frame.indices[0, :active].tolist(),
+        frame.requeues[0, :active].tolist(),
+    )
 
 
 class TestAdmission:
@@ -59,10 +75,11 @@ class TestDraining:
         voqs = VirtualOutputQueues(4, capacity=4)
         for index, dest in enumerate([2, 2, 3, 3]):
             voqs.admit(dest, 0, index=index)
-        heads = voqs.pop_heads()
-        assert sorted(e.destination for e in heads) == [2, 3]
+        # A frame takes the head of every non-empty queue.
+        dests, indices, _ = pop_frame(voqs, FrameScheduler(4))
+        assert sorted(dests) == [2, 3]
         # FIFO per destination: first words for 2 and 3 ride first.
-        assert sorted(e.batch_index for e in heads) == [0, 2]
+        assert sorted(indices) == [0, 2]
         assert voqs.total == 2
 
     def test_pop_heads_round_robin_rotates_start(self):
@@ -70,27 +87,31 @@ class TestDraining:
         for dest in range(4):
             for k in range(2):
                 voqs.admit(dest, 0, index=2 * dest + k)
-        first = voqs.pop_heads(limit=1)
-        second = voqs.pop_heads(limit=1)
-        assert first[0].destination != second[0].destination
+        # Successive frames start their scan (line 0) at a new queue.
+        scheduler = FrameScheduler(4)
+        first, _, _ = pop_frame(voqs, scheduler)
+        second, _, _ = pop_frame(voqs, scheduler)
+        assert first[0] != second[0]
 
     def test_requeue_front_preserves_order_and_may_exceed_capacity(self):
         voqs = VirtualOutputQueues(4, capacity=2)
         voqs.admit(0, 0, index=2)
         voqs.admit(0, 0, index=3)
-        stranded = [entry(0, index=0), entry(0, index=1)]
-        voqs.requeue_front(stranded)
+        voqs.requeue_front(*stranded([0, 0], [0, 1]))
         assert voqs.depth(0) == 4  # transiently above capacity
-        assert all(e.requeues == 1 for e in stranded)
-        drained = []
+        drained, requeues = [], []
+        scheduler = FrameScheduler(4)
         while voqs.total:
-            drained.extend(voqs.pop_heads())
-        assert [e.batch_index for e in drained] == [0, 1, 2, 3]
+            _, indices, counts = pop_frame(voqs, scheduler)
+            drained.extend(indices)
+            requeues.extend(counts)
+        assert drained == [0, 1, 2, 3]
+        assert requeues == [1, 1, 0, 0]
         # New admissions still bounce until the queue drains.
         voqs2 = VirtualOutputQueues(4, capacity=2)
         voqs2.admit(0, 0)
         voqs2.admit(0, 0)
-        voqs2.requeue_front([entry(0)])
+        voqs2.requeue_front(*stranded([0], [0]))
         with pytest.raises(AdmissionRejectedError):
             voqs2.admit(0, 0)
 
@@ -98,7 +119,7 @@ class TestDraining:
         voqs = VirtualOutputQueues(4, capacity=4)
         for dest in range(4):
             voqs.admit(dest, 0)
-        assert len(voqs.drain_all()) == 4
+        assert voqs.drain_all() == 4
         assert voqs.total == 0
 
 
