@@ -36,6 +36,7 @@ from repro.faults import (
     misrouted_outputs,
     recovery_experiment,
     route_with_stuck_switch,
+    shared_bist_schedule,
 )
 from repro.permutations import random_permutation
 from repro.service import ResilientFabric
@@ -174,21 +175,21 @@ def test_resilient_service_sweep(benchmark, write_artifact):
     )
 
 
-def test_vector_resilient_throughput(benchmark, write_artifact):
-    """The compiled resilient service vs the object one, words/s.
+def test_bnb_resilient_throughput(benchmark, write_artifact):
+    """The resilient service on the bnb kernel vs the object one, words/s.
 
     Sweeps the healthy serving path and the post-quarantine failover
-    path with the same injected fault on both engines.  ``m = 6`` uses
-    a relaxed-coverage BIST schedule (strict coverage is unattainable
-    past ``m = 4`` — see :func:`repro.faults.build_bist_schedule`);
-    detection of the injected, activatable fault is unaffected.  The
-    artifact is CI-gated: recovered delivery must be total and the
-    vector healthy path must clear 5x object at the largest size.
+    path with the same injected fault on both engines, on the service's
+    own :func:`~repro.faults.shared_bist_schedule` (relaxed coverage
+    past ``m = 4``; detection of the injected, activatable fault is
+    unaffected).  The artifact is CI-gated: recovered delivery must be
+    total and the bnb healthy path must clear 5x object at the largest
+    size.
     """
     import time
 
     from repro.faults import fault_mask_for
-    from repro.service import ResilientVectorFabric
+    from repro.service import ResilientBNBFabric
 
     def timed_words_per_sec(fabric, perms, batches):
         start = time.perf_counter()
@@ -203,16 +204,7 @@ def test_vector_resilient_throughput(benchmark, write_artifact):
         rows = []
         for m, batches in ((4, 300), (6, 200)):
             n = 1 << m
-            schedule = (
-                build_bist_schedule(m)
-                if m <= 4
-                else build_bist_schedule(
-                    m,
-                    ensure_detection=False,
-                    require_full_coverage=False,
-                    max_candidates=400,
-                )
-            )
+            schedule = shared_bist_schedule(m)
             perms = [
                 random_permutation(n, rng=seed).to_list()
                 for seed in range(20)
@@ -221,7 +213,7 @@ def test_vector_resilient_throughput(benchmark, write_artifact):
             row = {"m": m, "n": n, "batches": batches}
             healthy = {
                 "object": ResilientFabric(m, schedule=schedule),
-                "vector": ResilientVectorFabric(m, schedule=schedule),
+                "bnb": ResilientBNBFabric(m, schedule=schedule),
             }
             for engine, fabric in healthy.items():
                 rate, delivered = timed_words_per_sec(fabric, perms, batches)
@@ -233,7 +225,7 @@ def test_vector_resilient_throughput(benchmark, write_artifact):
                     pipeline=_faulty_pipeline(m, coordinate, 1),
                     schedule=schedule,
                 ),
-                "vector": ResilientVectorFabric(
+                "bnb": ResilientBNBFabric(
                     m,
                     fault_mask=fault_mask_for(m, [(coordinate, 1)]),
                     schedule=schedule,
@@ -256,26 +248,117 @@ def test_vector_resilient_throughput(benchmark, write_artifact):
                 2 * (batches + 1) * n
             )
             row["healthy_speedup"] = (
-                row["healthy_vector_words_per_sec"]
+                row["healthy_bnb_words_per_sec"]
                 / row["healthy_object_words_per_sec"]
             )
             row["failover_speedup"] = (
-                row["failover_vector_words_per_sec"]
+                row["failover_bnb_words_per_sec"]
                 / row["failover_object_words_per_sec"]
             )
             rows.append(row)
         return {
             "sweep": rows,
             "headline_speedup": rows[-1]["healthy_speedup"],
+            "gateway": [
+                _gateway_fault_cell(m, (2, 0, 0, 0, 0), 1)
+                for m in (6, 8)
+            ],
         }
 
     stats = benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert all(row["recovered_delivery"] == 1.0 for row in stats["sweep"])
     assert stats["headline_speedup"] >= 5.0
+    for cell in stats["gateway"]:
+        assert cell["delivery"] == 1.0, cell
+        assert cell["misdelivered_words"] == 0, cell
     write_artifact(
-        "fault_recovery_vector.json",
+        "fault_recovery_bnb.json",
         json.dumps(stats, indent=2, sort_keys=True),
     )
+
+
+def _gateway_fault_cell(m, coordinate, value, words=4000):
+    """A resilient bnb gateway with a stuck switch injected mid-run.
+
+    One plane, so every frame after the injection meets the fault.  A
+    word counts as misdelivered when its receipt names another
+    destination or another sender's payload.  Detection-to-failover is
+    counted in frames the faulty plane served, from the one whose
+    misroute was first detected to the one during which traffic failed
+    over to the spare (0: the same frame).
+    """
+    import asyncio
+    import random
+
+    from repro.server import AsyncGateway, GatewayConfig
+
+    n = 1 << m
+    rng = random.Random(m)
+    destinations = [rng.randrange(n) for _ in range(words)]
+
+    async def scenario():
+        config = GatewayConfig(
+            m=m, planes=1, queue_capacity=64, engine="bnb", resilient=True
+        )
+        async with AsyncGateway(config) as gateway:
+            fabric = gateway.planes[0].fabric
+            marks = {}
+
+            def mark(event):
+                if event.kind in ("detection", "failover"):
+                    marks.setdefault(event.kind, fabric.counters.batches)
+
+            fabric.add_listener(mark)
+
+            async def send(indices):
+                return await asyncio.gather(
+                    *(
+                        gateway.send_with_retry(
+                            destinations[index], payload=index, attempts=256
+                        )
+                        for index in indices
+                    ),
+                    return_exceptions=True,
+                )
+
+            half = words // 2
+            receipts = await send(range(half))
+            injected_at = fabric.counters.batches
+            gateway.inject_fault(0, coordinate, value)
+            receipts += await send(range(half, words))
+            plane = gateway.stats()["planes"][0]
+        return receipts, marks, injected_at, plane
+
+    receipts, marks, injected_at, plane = asyncio.run(scenario())
+    delivered = [
+        (index, receipt)
+        for index, receipt in enumerate(receipts)
+        if not isinstance(receipt, BaseException)
+    ]
+    misdelivered = sum(
+        receipt.payload != index or receipt.destination != destinations[index]
+        for index, receipt in delivered
+    )
+    detection = marks.get("detection")
+    failover = marks.get("failover")
+    return {
+        "m": m,
+        "n": n,
+        "fault": [*coordinate, value],
+        "words": words,
+        "words_delivered": len(delivered),
+        "delivery": len(delivered) / words,
+        "misdelivered_words": misdelivered,
+        "frames_before_injection": injected_at,
+        "detection_frame": detection,
+        "detection_to_failover_frames": (
+            failover - detection
+            if detection is not None and failover is not None
+            else None
+        ),
+        "final_state": plane["service_state"],
+        "plane_healthy": plane["healthy"],
+    }
 
 
 def test_bist_probe_counts(benchmark, write_artifact):

@@ -1,13 +1,16 @@
 """Observability overhead: the metrics-on dataplane vs. metrics-off.
 
-The ISSUE acceptance bar: at m=8 on the vector engine under offered
-load 1.0, the instrumented gateway must sustain steady-state frame
-fill >= 0.9 and cost < 5% throughput vs. the same run without
-instrumentation.  The design that makes this possible is asserted
-here, not assumed: every push-side hook is O(1) per *frame* (a frame
-at m=8 carries 256 words — a per-word histogram observe would cost
-more than the whole vector routing step), everything else is pulled at
-scrape time, and tracing samples one frame in ``trace_sample_every``.
+The acceptance bar: at m=8 on the ``bnb`` engine under offered load
+1.0, the instrumented gateway must sustain steady-state frame fill
+>= 0.9 and cost < 5% throughput vs. the same run without
+instrumentation.  ``batch_window=1`` keeps the one-frame-per-cycle
+shape the fill bar was written for: a wider window lets frames wait
+for company, so fill measures the window rather than the hooks.  The
+design that makes the budget possible is asserted here, not assumed:
+every push-side hook is O(1) per *frame* (a frame at m=8 carries 256
+words — a per-word histogram observe would cost more than the whole
+kernel routing step), everything else is pulled at scrape time, and
+tracing samples one frame in ``trace_sample_every``.
 
 Measuring a 5% budget is harder than meeting it: whole-run wall-clock
 on a shared host jitters by 10-15% between runs, so comparing two run
@@ -43,12 +46,14 @@ CYCLES = 240
 WARMUP = 40
 ROUNDS = 4
 TRACE_SAMPLE = 16
-MAX_OVERHEAD = 0.05  # ISSUE acceptance: < 5% throughput cost
+MAX_OVERHEAD = 0.05  # acceptance: < 5% throughput cost
 
 
 def _new_gateway(instrumented: bool) -> AsyncGateway:
     gateway = AsyncGateway(
-        GatewayConfig(m=M, planes=1, queue_capacity=16, engine="vector")
+        GatewayConfig(
+            m=M, planes=1, queue_capacity=16, engine="bnb", batch_window=1
+        )
     )
     if instrumented:
         GatewayInstrumentation(
@@ -117,7 +122,8 @@ def test_metrics_overhead_under_budget(write_artifact):
         "benchmark": "obs_overhead",
         "m": M,
         "n": 1 << M,
-        "engine": "vector",
+        "engine": "bnb",
+        "batch_window": 1,
         "offered_load": LOAD,
         "cycles": CYCLES,
         "warmup": WARMUP,

@@ -63,7 +63,7 @@ def _replay(scenario, *, tenants=None, events=EVENTS):
     config = GatewayConfig(
         m=M,
         queue_capacity=64,
-        engine="vector",
+        engine="bnb",
         tenants=tenants,
     )
 

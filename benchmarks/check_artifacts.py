@@ -82,53 +82,6 @@ def check_probe_counts(data: Any, name: str, errors: List[str]) -> None:
     )
 
 
-#: filename -> validator; anything else just has to parse.
-def check_vector_pipeline(
-    data: Dict[str, Any], name: str, errors: List[str]
-) -> None:
-    sweep = data.get("sweep")
-    _require(
-        isinstance(sweep, list) and bool(sweep),
-        name,
-        "'sweep' must be a non-empty list",
-        errors,
-    )
-    for row in sweep or []:
-        for key in (
-            "m",
-            "n",
-            "cycles_timed",
-            "object_cycles_per_sec",
-            "vector_cycles_per_sec",
-            "speedup",
-        ):
-            _require(key in row, name, f"sweep row missing {key!r}", errors)
-        if "speedup" in row:
-            _require(
-                row["speedup"] > 1.0,
-                name,
-                f"m={row.get('m')} speedup {row['speedup']} is not a win",
-                errors,
-            )
-    gateway = data.get("gateway", {})
-    for key in ("engine", "steady_fill", "words_delivered", "words_accepted"):
-        _require(key in gateway, name, f"gateway missing {key!r}", errors)
-    if "steady_fill" in gateway:
-        _require(
-            0.0 <= gateway["steady_fill"] <= 1.0,
-            name,
-            f"gateway fill {gateway['steady_fill']} outside [0, 1]",
-            errors,
-        )
-    if {"words_delivered", "words_accepted"} <= gateway.keys():
-        _require(
-            gateway["words_delivered"] == gateway["words_accepted"],
-            name,
-            "gateway delivered != accepted (words were lost)",
-            errors,
-        )
-
-
 def check_obs_overhead(data: Dict[str, Any], name: str, errors: List[str]) -> None:
     for key in (
         "m",
@@ -162,7 +115,7 @@ def check_obs_overhead(data: Dict[str, Any], name: str, errors: List[str]) -> No
         )
 
 
-def check_fault_recovery_vector(
+def check_fault_recovery_bnb(
     data: Dict[str, Any], name: str, errors: List[str]
 ) -> None:
     sweep = data.get("sweep")
@@ -178,9 +131,9 @@ def check_fault_recovery_vector(
             "n",
             "batches",
             "healthy_object_words_per_sec",
-            "healthy_vector_words_per_sec",
+            "healthy_bnb_words_per_sec",
             "failover_object_words_per_sec",
-            "failover_vector_words_per_sec",
+            "failover_bnb_words_per_sec",
             "healthy_speedup",
             "failover_speedup",
             "recovered_delivery",
@@ -206,6 +159,37 @@ def check_fault_recovery_vector(
             name,
             f"headline_speedup {data['headline_speedup']} below the "
             "5x acceptance bar",
+            errors,
+        )
+    cells = data.get("gateway")
+    _require(
+        isinstance(cells, list) and bool(cells),
+        name,
+        "'gateway' must be a non-empty list of fault cells",
+        errors,
+    )
+    for cell in cells or []:
+        for key in (
+            "m",
+            "fault",
+            "words",
+            "delivery",
+            "misdelivered_words",
+            "detection_to_failover_frames",
+        ):
+            _require(key in cell, name, f"gateway cell missing {key!r}", errors)
+        _require(
+            cell.get("delivery") == 1.0,
+            name,
+            f"m={cell.get('m')} gateway delivery {cell.get('delivery')!r} "
+            "!= 1.0 (words were lost)",
+            errors,
+        )
+        _require(
+            cell.get("misdelivered_words") == 0,
+            name,
+            f"m={cell.get('m')} gateway misdelivered "
+            f"{cell.get('misdelivered_words')!r} words to callers",
             errors,
         )
 
@@ -463,13 +447,13 @@ def check_traffic_scenarios(
         )
 
 
+#: filename -> validator; anything else just has to parse.
 SCHEMAS: Dict[str, Callable[[Any, str, List[str]], None]] = {
     "gateway_load.json": check_gateway_load,
     "gateway_plane_kill.json": check_gateway_plane_kill,
     "bist_probe_counts.json": check_probe_counts,
-    "vector_pipeline.json": check_vector_pipeline,
     "obs_overhead.json": check_obs_overhead,
-    "fault_recovery_vector.json": check_fault_recovery_vector,
+    "fault_recovery_bnb.json": check_fault_recovery_bnb,
     "wire_protocol.json": check_wire_protocol,
     "cluster_soak.json": check_cluster_soak,
     "backend_arena.json": check_backend_arena,

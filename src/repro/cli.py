@@ -50,12 +50,12 @@ def _backend_choices() -> List[str]:
 
 
 def _engine_choices() -> List[str]:
-    """``object``, ``vector`` and every backend name — the
-    ``--engine`` choices of serve, stats, replay and cluster, exactly
-    the values ``GatewayConfig.engine`` accepts."""
+    """``object`` and every backend name — the ``--engine`` choices of
+    serve, stats, replay and cluster, exactly the values
+    ``GatewayConfig.engine`` accepts."""
     from .backends import backend_names
 
-    return ["object", "vector"] + backend_names()
+    return ["object"] + backend_names()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,10 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--seed", type=int, default=0)
     faults.add_argument(
         "--engine",
-        choices=("object", "vector"),
+        choices=("object", "bnb"),
         default="object",
         help="run the resilient service on the reference object fabric "
-        "or the compiled vector fabric (ResilientVectorFabric)",
+        "or the compiled bnb kernel (ResilientBNBFabric)",
     )
     faults.add_argument(
         "--connect",
@@ -184,17 +184,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--resilient",
         action="store_true",
         help="wrap each plane in the fault-tolerant resilient service "
-        "(composes with --engine: object or vector fabrics)",
+        "(composes with --engine object or bnb)",
     )
     serve.add_argument(
         "--engine",
         choices=_engine_choices(),
         default="object",
-        help="plane dataplane engine: reference object model, the "
-        "compiled vectorized numpy pipeline, or a backend "
-        "name for windowed batch planes on that backend (bnb routes "
-        "whole windows of frames per gather; pairs with the binary "
-        "wire framing's send_batch)",
+        help="plane dataplane engine: the reference object model, or a "
+        "backend name for windowed batch planes on that backend (bnb "
+        "routes whole windows of frames per gather; pairs with the "
+        "binary wire framing's send_batch)",
     )
     serve.add_argument(
         "--demo",
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument(
         "--engine",
         choices=_engine_choices(),
-        default="vector",
+        default="bnb",
         help="plane engine for the in-process gateway",
     )
     replay.add_argument(
@@ -634,8 +633,9 @@ def _faults_connect(args: argparse.Namespace) -> int:
     gateway, and succeeds (exit 0) only when the faulty plane walks the
     whole lifecycle — at least one non-clean delivery (``degraded`` or
     ``failover``) followed by ``service_state == "quarantined"`` — with
-    every driven word still delivered.  Speaks the binary framing
-    through :class:`repro.client.GatewayClient`.
+    every driven word still delivered.  Traffic goes out as
+    ``send_batch`` waves of N words, one per destination.  Speaks the
+    binary framing through :class:`repro.client.GatewayClient`.
     """
     import asyncio
 
@@ -707,19 +707,27 @@ def _faults_connect(args: argparse.Namespace) -> int:
             )
             modes: dict = {}
             delivered = 0
-            for index in range(args.words):
+            # One send_batch per wave of N words, one per destination,
+            # so the gateway builds whole frames: a lone word per frame
+            # crosses too few switches to meet the injected fault.
+            for start in range(0, args.words, n):
+                stop = min(start + n, args.words)
                 try:
-                    receipt = await client.send(
-                        index % n, payload=index, server_retry=True
+                    result = await client.send_batch(
+                        [index % n for index in range(start, stop)],
+                        retry=16,
                     )
                 except GatewayRequestError as error:
                     print(
-                        f"error: send {index} failed: {error.response}",
+                        f"error: send_batch of words {start}..{stop - 1} "
+                        f"failed: {error.response}",
                         file=sys.stderr,
                     )
                     return 1
-                delivered += 1
-                modes[receipt["mode"]] = modes.get(receipt["mode"], 0) + 1
+                delivered += result["delivered"]
+                for index in result["modes"][result["statuses"] == 1].tolist():
+                    mode = result["mode_table"][index]
+                    modes[mode] = modes.get(mode, 0) + 1
             stats = await client.stats()
             state = stats["stats"]["planes"][args.plane].get("service_state")
             mode_note = ", ".join(
@@ -783,7 +791,7 @@ def _command_faults(args: argparse.Namespace) -> int:
         fault_mask_for,
         shared_bist_schedule,
     )
-    from .service import HealthMonitor, ResilientFabric, ResilientVectorFabric
+    from .service import HealthMonitor, ResilientBNBFabric, ResilientFabric
 
     schedule = shared_bist_schedule(m)
     pipeline = None
@@ -795,7 +803,7 @@ def _command_faults(args: argparse.Namespace) -> int:
             raise FaultError(
                 f"{coordinate} is not a switch of the N={args.n} BNB network"
             )
-        if args.engine == "vector":
+        if args.engine == "bnb":
             fault_mask = fault_mask_for(m, [(coordinate, args.stuck_value)])
         else:
             pipeline = PipelinedBNBFabric(
@@ -813,8 +821,8 @@ def _command_faults(args: argparse.Namespace) -> int:
             f"injected : stuck-at-{args.stuck_value} at "
             f"({args.stuck}) in the primary plane"
         )
-    if args.engine == "vector":
-        fabric = ResilientVectorFabric(
+    if args.engine == "bnb":
+        fabric = ResilientBNBFabric(
             m, fault_mask=fault_mask, schedule=schedule
         )
     else:

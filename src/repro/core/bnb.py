@@ -35,12 +35,7 @@ from ..bits import address_bit, require_power_of_two, unshuffle_index
 from ..exceptions import NotAPermutationError, RoutingError
 from ..permutations.permutation import Permutation
 from .bsn import BitSorterNetwork, BSNRecord
-from .plan import (
-    compiled_plan,
-    stage_take_indices,
-    vector_apply_controls,
-    vector_splitter_controls,
-)
+from .plan import compiled_plan, stage_take_indices
 from .routing import PacketPath, RouteStep
 from .words import Word
 
@@ -365,9 +360,3 @@ class BNBNetwork:
 
     def __repr__(self) -> str:
         return f"BNBNetwork(m={self.m}, n={self.n}, w={self.w})"
-
-
-# The vector kernels moved to :mod:`repro.core.plan` (shared with the
-# pipelined engine); these aliases keep the historical import path.
-_vector_splitter_controls = vector_splitter_controls
-_vector_apply_controls = vector_apply_controls

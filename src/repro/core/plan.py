@@ -13,7 +13,7 @@ main stage it precomputes, as numpy arrays,
 * the **main-stage gather** — the ``U_{m-i}^m`` unshuffle following the
   stage's nested networks;
 * the **nested-network line groupings** — which contiguous lines form
-  each NB(i, l), for boundary checks and sampled verification;
+  each NB(i, l), for boundary checks;
 * the **pair indices** — even/odd line index arrays the switch columns
   pair up.
 
@@ -24,8 +24,8 @@ The two routing kernels live here too: :func:`vector_splitter_controls`
 (the log-depth XOR-up/flag-down arbiter pass over all boxes of a stage
 at once) and :func:`vector_apply_controls`.  They are the single vector
 implementation behind both the combinational
-:meth:`~repro.core.bnb.BNBNetwork.route_fast` and the registered
-:class:`~repro.core.pipeline_fast.VectorPipelinedFabric`.
+:meth:`~repro.core.bnb.BNBNetwork.route_fast` and the ``bnb`` kernels
+in :mod:`repro.core.pipeline_fast`.
 
 Faults are data here, not control flow: a :class:`FaultMask` carries
 per-(main stage, inner stage) stuck-control override arrays plus

@@ -140,11 +140,12 @@ def observations_from_arrays(
 ) -> List[ProbeObservation]:
     """Build probe observations from batched ``(probes, n)`` arrays.
 
-    The decode path for pipelined BIST passes
-    (:meth:`~repro.faults.bist.BISTSchedule.run_pipelined`): the whole
-    probe batch is validated and syndrome-flagged in vectorized passes,
-    and only then materialized as :class:`ProbeObservation` records for
-    the (per-observation) localization decoder.
+    The decode path for windowed BIST passes
+    (:class:`~repro.service.ResilientBNBFabric` routes every probe in
+    one kernel window): the whole probe batch is validated and
+    syndrome-flagged in vectorized passes, and only then materialized
+    as :class:`ProbeObservation` records for the (per-observation)
+    localization decoder.
     """
     sent = np.asarray(sent, dtype=np.int64)
     arrived = np.asarray(arrived, dtype=np.int64)

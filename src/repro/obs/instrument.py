@@ -8,7 +8,7 @@ which hooks the dataplane offers and which metrics the catalog
   ``on_*`` methods below, called from ``send``/``tick``/``_resolve``).
   Every push touch is O(1) per *frame* or per *event*, never per word:
   at m=8 a frame carries 256 words, and a per-word histogram observe
-  would cost more than the vector engine's whole routing step.
+  would cost more than the ``bnb`` kernel's whole routing step.
 * **pull** — everything the components already count (VOQ admission
   totals, scheduler fill, plane health, the resilient fabric's
   service counters) is copied in by a collector that runs only when
@@ -127,9 +127,9 @@ class GatewayInstrumentation:
         self._backend_info = r.gauge(
             "repro_backend_info",
             "Routing backend serving this gateway's planes (the value "
-            "is always 1): the pinned backend for backend engines, bnb "
-            "for the vector engine, bnb-object (the object model it "
-            "clocks, not a backend) for the object engine.",
+            "is always 1): the pinned backend for the bnb and msorter "
+            "engines, resilient or not, and bnb-object (the object "
+            "model it clocks, not a backend) for the object engine.",
             labelnames=("backend", "m"),
         )
         self._cycle = r.gauge(

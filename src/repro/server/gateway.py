@@ -31,8 +31,7 @@ from ..exceptions import (
     PlaneUnavailableError,
 )
 from ..backends import backend_names, compiled_backend, prewarm
-from ..core.pipeline_fast import VectorPipelinedFabric
-from ..service import ResilientVectorFabric
+from ..service import ResilientBNBFabric
 from .planes import (
     BackendPlane,
     CompletedFrame,
@@ -66,19 +65,17 @@ class GatewayConfig:
     queue_capacity: int = 32
     resilient: bool = False
     #: Dataplane engine for the planes: ``"object"`` clocks the
-    #: reference ``PipelinedBNBFabric`` (every frame verified),
-    #: ``"vector"`` the compiled-plan numpy ``VectorPipelinedFabric``
-    #: (sampled verification), both as
-    #: :class:`~repro.server.planes.PipelinedPlane`\ s.  Any backend
+    #: reference ``PipelinedBNBFabric`` (every frame verified) as
+    #: :class:`~repro.server.planes.PipelinedPlane`\ s.  A backend
     #: name (``"bnb"`` or ``"msorter"``) serves
     #: :class:`~repro.server.planes.BackendPlane`\ s that route whole
     #: windows of frames per call on that backend — ``"bnb"`` is the
     #: engine behind ``send_batch`` throughput (see
-    #: ``docs/backends.md``).  Orthogonal to ``resilient`` for the
-    #: pipelined engines only: a resilient vector plane wraps a
-    #: ``ResilientVectorFabric`` (masked fault kernels, pipelined BIST,
-    #: compiled Benes failover), a resilient object plane a
-    #: ``ResilientFabric``; backend engines have no resilient variant.
+    #: ``docs/backends.md``).  With ``resilient``, a plane wraps a
+    #: ``ResilientFabric`` on the ``"object"`` engine or a
+    #: ``ResilientBNBFabric`` (masked ``bnb`` kernel, one-window BIST,
+    #: compiled Benes failover) on ``"bnb"``; ``"msorter"`` has no
+    #: resilient variant.
     engine: str = "object"
     #: Frames a backend plane buffers before one batched routing call.
     batch_window: int = 32
@@ -113,16 +110,15 @@ class GatewayConfig:
             raise ValueError(
                 f"queue capacity must be >= 1, got {self.queue_capacity}"
             )
-        builtin = ("object", "vector")
-        if self.engine not in builtin and self.engine not in backend_names():
+        if self.engine != "object" and self.engine not in backend_names():
             raise ValueError(
-                f"engine must be one of {builtin} or a registered "
-                f"backend name {backend_names()}, got {self.engine!r}"
+                f"engine must be 'object' or a registered backend name "
+                f"{backend_names()}, got {self.engine!r}"
             )
-        if self.engine not in ("object", "vector") and self.resilient:
+        if self.engine not in ("object", "bnb") and self.resilient:
             raise ValueError(
                 f"the {self.engine!r} engine has no resilient variant; "
-                f"use engine='vector' with resilient=True"
+                f"use engine='bnb' with resilient=True"
             )
         if self.batch_window < 1:
             raise ValueError(
@@ -255,27 +251,19 @@ class AsyncGateway:
         )
         self.scheduler = FrameScheduler(self.n)
         #: Routing backend serving the planes, for stats and metrics:
-        #: the pinned backend name for backend engines, the BNB engine
-        #: the pipelined kinds wrap otherwise (``bnb-object`` names the
-        #: object model the ``object`` engine clocks; it is not a backend).
-        self.backend_name: str = {"object": "bnb-object", "vector": "bnb"}.get(
+        #: the pinned backend name for backend engines, ``bnb-object``
+        #: for the object model the ``object`` engine clocks (it is not
+        #: a backend).
+        self.backend_name: str = {"object": "bnb-object"}.get(
             config.engine, config.engine
         )
         if plane_factory is None:
-            if config.resilient and config.engine == "vector":
+            if config.resilient and config.engine == "bnb":
                 plane_factory = lambda i, m: ResilientPlane(
-                    i, m, fabric=ResilientVectorFabric(m)
+                    i, m, fabric=ResilientBNBFabric(m)
                 )
             elif config.resilient:
                 plane_factory = lambda i, m: ResilientPlane(i, m)
-            elif config.engine == "vector":
-                plane_factory = lambda i, m: PipelinedPlane(
-                    i,
-                    m,
-                    fabric=VectorPipelinedFabric(m, retain_delivered=False),
-                    verify_every=16,
-                    spot_checks=2,
-                )
             elif config.engine == "object":
                 plane_factory = lambda i, m: PipelinedPlane(i, m)
             else:
@@ -293,7 +281,7 @@ class AsyncGateway:
         ]
         # Pre-warm the compiled caches for whatever engine the planes
         # run, so the first frame after boot routes on hot tables.
-        if not config.resilient and config.engine != "object":
+        if config.engine != "object":
             prewarm(config.m, [self.backend_name])
         self.node_id = config.node_id or f"gw-{os.getpid()}"
         self.cycle = 0

@@ -5,12 +5,9 @@ to track which frames are inside it.  One class per dataplane shape:
 
 * :class:`PipelinedPlane` — a clocked pipelined fabric, one frame in
   per cycle and ``m`` in flight back-to-back: the reference
-  :class:`~repro.core.pipeline.PipelinedBNBFabric` (every frame fully
-  verified) or the compiled
-  :class:`~repro.core.pipeline_fast.VectorPipelinedFabric` (sampled
-  verification, so checking cannot erase the engine's speed).  A
-  misdelivery (physical fault on an unprotected plane) fails the plane,
-  and its words requeue.
+  :class:`~repro.core.pipeline.PipelinedBNBFabric`, every frame fully
+  verified.  A misdelivery (physical fault on an unprotected plane)
+  fails the plane, and its words requeue.
 * :class:`BackendPlane` — a windowed batch plane: buffers frames and
   routes each window in one call on a
   :class:`~repro.backends.RoutingBackend` (the compiled BNB kernel or
@@ -18,12 +15,12 @@ to track which frames are inside it.  One class per dataplane shape:
   total arithmetic verification.
 * :class:`ResilientPlane` — a
   :class:`~repro.service.ResilientFabric` (object engine) or
-  :class:`~repro.service.ResilientVectorFabric` (vector engine) whose
+  :class:`~repro.service.ResilientBNBFabric` (``bnb`` kernel) whose
   submit path already verifies, retries, BIST-diagnoses and fails over
   to a Benes spare, so a stuck switch degrades the plane instead of
-  failing it.  One frame per step (the resilient submit drains its
-  pipeline), so the resilient kinds trade peak throughput for fault
-  tolerance — the vector fabric narrows that trade substantially.
+  failing it.  One frame per step, so the resilient kinds trade peak
+  throughput for fault tolerance — the kernel fabric narrows that
+  trade substantially.
 
 All expose the same interface the gateway's clock loop drives:
 ``ready`` / ``window`` / ``offer`` / ``step`` / ``kill`` / ``load``.
@@ -42,7 +39,6 @@ import numpy as np
 
 from ..backends import RoutingBackend, compiled_backend
 from ..core.pipeline import PipelinedBNBFabric
-from ..core.pipeline_fast import VectorPipelinedFabric
 from ..core.words import Word
 from ..exceptions import FaultServiceError, MisdeliveryError
 from ..service.fabric import ResilientFabric
@@ -112,35 +108,24 @@ class _PlaneBase:
         self.words_delivered += int(frame.active.sum())
         return CompletedFrame(frame=frame, plane_id=self.plane_id, mode=mode)
 
-    def _check(
-        self,
-        frame: ScheduledFrame,
-        outputs: List[Optional[Word]],
-        destinations: Any,
-        what: str,
-    ) -> None:
-        """Each listed destination's output must carry the word from the
-        line that addressed it (payloads are line numbers)."""
-        addresses = frame.addresses[0].tolist()
-        line_of = {dest: line for line, dest in enumerate(addresses)}
-        for destination in destinations:
-            word = outputs[destination]
-            if word is None or word.payload != line_of[destination]:
-                raise MisdeliveryError(
-                    self.plane_id,
-                    f"frame {frame.tag}: {what} output {destination} "
-                    f"carrying {word!r}, expected the word from line "
-                    f"{line_of[destination]}",
-                )
-
     def _verify(
         self, frame: ScheduledFrame, outputs: List[Optional[Word]]
     ) -> None:
-        """Every real word must sit on its addressed line."""
+        """Every real word must sit on its addressed line: the output a
+        line addressed carries that line's word (payloads are line
+        numbers)."""
         active = int(frame.active[0])
-        self._check(
-            frame, outputs, frame.addresses[0, :active].tolist(), "found"
-        )
+        for line, destination in enumerate(
+            frame.addresses[0, :active].tolist()
+        ):
+            word = outputs[destination]
+            if word is None or word.payload != line:
+                raise MisdeliveryError(
+                    self.plane_id,
+                    f"frame {frame.tag}: found output {destination} "
+                    f"carrying {word!r}, expected the word from line "
+                    f"{line}",
+                )
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -158,42 +143,21 @@ class PipelinedPlane(_PlaneBase):
     """A clocked BNB plane: one frame enters per cycle, ``m`` in flight.
 
     *fabric* is a :class:`~repro.core.pipeline.PipelinedBNBFabric` (the
-    reference object model, the default) or a
-    :class:`~repro.core.pipeline_fast.VectorPipelinedFabric` (compiled
-    numpy, same interface).  Verifying every line of every frame would
-    put a per-word Python loop back on the vector engine's hot path, so
-    verification is a policy: every ``verify_every``-th delivered frame
-    is fully checked, the others get ``spot_checks`` rotating
-    per-destination probes.  The defaults (1, 0) check every frame in
-    full; the gateway's ``engine="vector"`` samples with (16, 2).  A
-    detected misdelivery — Theorem-2-impossible without a fault or an
-    engine bug — fails the whole plane: the bad frame's words and
-    everything else in flight requeue, and ``healthy`` drops so the
-    gateway stops scheduling onto it.
+    reference object model).  Every line of every delivered frame is
+    verified.  A detected misdelivery — Theorem-2-impossible without a
+    fault or an engine bug — fails the whole plane: the bad frame's
+    words and everything else in flight requeue, and ``healthy`` drops
+    so the gateway stops scheduling onto it.
     """
 
     def __init__(
         self,
         plane_id: int,
         m: int,
-        fabric: "PipelinedBNBFabric | VectorPipelinedFabric | None" = None,
-        verify_every: int = 1,
-        spot_checks: int = 0,
+        fabric: Optional[PipelinedBNBFabric] = None,
     ) -> None:
         super().__init__(plane_id)
-        if verify_every < 1:
-            raise ValueError(
-                f"verify_every must be >= 1, got {verify_every}"
-            )
-        if spot_checks < 0:
-            raise ValueError(
-                f"spot_checks must be >= 0, got {spot_checks}"
-            )
         self.m = m
-        self.verify_every = verify_every
-        self.spot_checks = spot_checks
-        self.full_verifies = 0
-        self.spot_verifies = 0
         self.fabric = (
             fabric
             if fabric is not None
@@ -203,8 +167,6 @@ class PipelinedPlane(_PlaneBase):
         self.fabric.add_delivery_hook(
             lambda tag, outputs: self._delivered_now.append((tag, outputs))
         )
-        self._verified_counter = 0
-        self._spot_cursor = 0
 
     @property
     def ready(self) -> bool:
@@ -220,28 +182,6 @@ class PipelinedPlane(_PlaneBase):
         self.fabric.offer_words(frame.line_words(), tag=frame.tag)
         self._in_flight[frame.tag] = frame
 
-    def _verify_sampled(
-        self, frame: ScheduledFrame, outputs: List[Optional[Word]]
-    ) -> None:
-        """Full verify every k-th frame, rotating spot checks otherwise."""
-        index = self._verified_counter
-        self._verified_counter += 1
-        if index % self.verify_every == 0:
-            self.full_verifies += 1
-            self._verify(frame, outputs)
-            return
-        active = int(frame.active[0])
-        if not self.spot_checks or not active:
-            return
-        self.spot_verifies += 1
-        destinations = sorted(frame.addresses[0, :active].tolist())
-        probes = [
-            destinations[(self._spot_cursor + probe) % active]
-            for probe in range(min(self.spot_checks, active))
-        ]
-        self._check(frame, outputs, probes, "spot check found")
-        self._spot_cursor = (self._spot_cursor + self.spot_checks) % active
-
     def step(self) -> Tuple[List[CompletedFrame], Stranded]:
         """One clock: returns (verified completions, words to requeue)."""
         if not self.healthy or (
@@ -254,7 +194,7 @@ class PipelinedPlane(_PlaneBase):
         for tag, outputs in self._delivered_now:
             frame = self._in_flight.pop(tag)
             try:
-                self._verify_sampled(frame, outputs)
+                self._verify(frame, outputs)
             except MisdeliveryError as error:
                 return completed, Stranded.join(
                     [frame.stranded(), self.kill(reason=str(error))]
@@ -264,14 +204,7 @@ class PipelinedPlane(_PlaneBase):
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
-        info["engine"] = (
-            "vector"
-            if isinstance(self.fabric, VectorPipelinedFabric)
-            else "object"
-        )
-        info["verify_every"] = self.verify_every
-        info["full_verifies"] = self.full_verifies
-        info["spot_verifies"] = self.spot_verifies
+        info["engine"] = "object"
         return info
 
 
@@ -407,9 +340,9 @@ class ResilientPlane(_PlaneBase):
     gateway sees at most one completion per step.  Faults degrade the
     plane (retries, Benes failover) rather than killing it; only an
     exhausted fault service (:class:`FaultServiceError`) fails it.
-    Pass a :class:`~repro.service.ResilientVectorFabric` (the
-    ``--engine vector --resilient`` deployment) to run the same
-    lifecycle on the compiled engine.
+    Pass a :class:`~repro.service.ResilientBNBFabric` (the
+    ``--engine bnb --resilient`` deployment) to run the same lifecycle
+    on the compiled kernel.
     """
 
     def __init__(
@@ -461,11 +394,7 @@ class ResilientPlane(_PlaneBase):
 
     def describe(self) -> Dict[str, Any]:
         info = super().describe()
-        info["engine"] = (
-            "vector"
-            if isinstance(self.fabric.pipeline, VectorPipelinedFabric)
-            else "object"
-        )
+        info["engine"] = self.fabric.engine
         info["service_state"] = self.fabric.state.value
         info["service_retries"] = self.fabric.counters.retries
         return info

@@ -6,7 +6,8 @@ loop: verify every batch, retry misdelivered words with backoff,
 diagnose via BIST probes and syndrome decoding, quarantine the
 confirmed fault and fail over to a rearrangeable Benes spare plane.
 
-Entry point: :class:`ResilientFabric`.  Book-keeping types
+Entry points: :class:`ResilientFabric` on the object model and
+:class:`ResilientBNBFabric` on the compiled ``bnb`` kernel.  Book-keeping types
 (:class:`HealthState`, :class:`FaultEvent`, :class:`ServiceCounters`,
 :class:`HealthMonitor`) live in :mod:`repro.service.registry`.
 """
@@ -14,8 +15,8 @@ Entry point: :class:`ResilientFabric`.  Book-keeping types
 from .fabric import (
     BatchResult,
     CompiledBenesFailover,
+    ResilientBNBFabric,
     ResilientFabric,
-    ResilientVectorFabric,
 )
 from .registry import (
     FaultEvent,
@@ -27,7 +28,7 @@ from .registry import (
 
 __all__ = [
     "ResilientFabric",
-    "ResilientVectorFabric",
+    "ResilientBNBFabric",
     "CompiledBenesFailover",
     "BatchResult",
     "FaultEvent",

@@ -31,15 +31,14 @@ word on its addressed line** (mode ``clean``, ``degraded`` or
 :class:`~repro.exceptions.FaultServiceError` subclass naming the
 exhausted resource.
 
-:class:`ResilientVectorFabric` runs the same control loop on the
-compiled vector engine: the primary is a
-:class:`~repro.core.pipeline_fast.VectorPipelinedFabric` whose faults
-are a :class:`~repro.core.plan.FaultMask`, BIST probes enter the
-pipeline back to back
-(:meth:`~repro.faults.bist.BISTSchedule.run_pipelined`), and the spare
-is a :class:`CompiledBenesFailover` — one gather plan compiled per
-localized fault set instead of an object-graph walk per batch, with a
-sampled cross-check against the real
+:class:`ResilientBNBFabric` runs the same control loop on the compiled
+``bnb`` kernel: the primary routes each frame through
+:func:`~repro.core.pipeline_fast.route_frame_arrivals` under a
+:class:`~repro.core.plan.FaultMask` the fabric owns, the BIST pass is
+one kernel window over every probe, and the spare is a
+:class:`CompiledBenesFailover` — one gather plan compiled per localized
+fault set instead of an object-graph walk per batch, with a sampled
+cross-check against the real
 :class:`~repro.baselines.benes.BenesNetwork` looping algorithm.
 """
 
@@ -52,24 +51,29 @@ import numpy as np
 
 from ..baselines.benes import BenesNetwork
 from ..core.pipeline import PipelinedBNBFabric, stuck_control_override
-from ..core.pipeline_fast import VectorPipelinedFabric
+from ..core.pipeline_fast import route_frame_arrivals
 from ..core.plan import FaultMask, build_fault_mask
 from ..core.traffic import complete_partial_permutation
 from ..core.words import Word
 from ..exceptions import (
     FaultServiceError,
     LocalizationAmbiguousError,
+    NotAPermutationError,
     QuarantineExhaustedError,
     RetryBudgetExceededError,
 )
 from ..faults.bist import BISTSchedule, shared_bist_schedule
 from ..faults.injector import SwitchCoordinate
-from ..faults.localization import LocalizationResult, localize
+from ..faults.localization import (
+    LocalizationResult,
+    localize,
+    observations_from_arrays,
+)
 from .registry import FaultEvent, FaultRegistry, HealthState, ServiceCounters
 
 __all__ = [
     "ResilientFabric",
-    "ResilientVectorFabric",
+    "ResilientBNBFabric",
     "CompiledBenesFailover",
     "BatchResult",
 ]
@@ -131,6 +135,9 @@ class ResilientFabric:
         of quarantining the whole ambiguity class.
     """
 
+    #: The dataplane engine the primary runs, as plane stats name it.
+    engine = "object"
+
     def __init__(
         self,
         m: int,
@@ -141,17 +148,31 @@ class ResilientFabric:
         backoff_base: int = 1,
         strict_localization: bool = False,
     ) -> None:
+        self._init_service(
+            m, spare, schedule, retry_budget, backoff_base, strict_localization
+        )
+        self.pipeline = pipeline if pipeline is not None else PipelinedBNBFabric(m)
+        if self.pipeline.m != m:
+            raise ValueError(
+                f"pipeline is m={self.pipeline.m}, service is m={m}"
+            )
+
+    def _init_service(
+        self,
+        m: int,
+        spare: Optional[Any],
+        schedule: Optional[BISTSchedule],
+        retry_budget: int,
+        backoff_base: int,
+        strict_localization: bool,
+    ) -> None:
+        """Everything but the primary plane: spare, BIST, registry."""
         if m < 1:
             raise ValueError(f"the resilient fabric needs m >= 1, got {m}")
         if retry_budget < 0:
             raise ValueError(f"retry budget must be >= 0, got {retry_budget}")
         self.m = m
         self.n = 1 << m
-        self.pipeline = pipeline if pipeline is not None else PipelinedBNBFabric(m)
-        if self.pipeline.m != m:
-            raise ValueError(
-                f"pipeline is m={self.pipeline.m}, service is m={m}"
-            )
         self.spare = BenesNetwork(m) if spare == "benes" else spare
         self.schedule = (
             schedule if schedule is not None else shared_bist_schedule(m)
@@ -222,6 +243,7 @@ class ResilientFabric:
         }
         active = len(expected)
         if self.registry.is_quarantined:
+            # _route_spare refuses a misroute, so every real word is home.
             outputs = self._route_spare(words, tag)
             counters.batches_failover += 1
             counters.words_failover += active
@@ -231,13 +253,19 @@ class ResilientFabric:
             )
             return BatchResult(
                 tag=tag,
-                outputs=self._collect(self._split(outputs)[0], expected),
+                outputs=self._collect(
+                    {
+                        line: word
+                        for line, word in enumerate(outputs)
+                        if word.payload is not None
+                    },
+                    expected,
+                ),
                 mode="failover",
                 retries=0,
             )
 
-        outputs = self.pipeline.route_batch(words, tag=tag)
-        delivered, pending = self._split(outputs)
+        delivered, pending = self._split(*self._route_primary(words, tag))
         if not pending:
             counters.batches_clean += 1
             counters.words_clean += active
@@ -264,15 +292,16 @@ class ResilientFabric:
         retries = 0
         while pending and retries < self.retry_budget:
             backoff = self.backoff_base << retries
-            self.pipeline.idle(backoff)
+            self._backoff(backoff)
             counters.backoff_cycles += backoff
             retries += 1
             counters.retries += 1
             before = len(pending)
-            outputs = self.pipeline.route_batch(
-                self._repair_pass(pending), tag=(tag, "retry", retries)
+            newly, pending = self._split(
+                *self._route_primary(
+                    self._repair_pass(pending), (tag, "retry", retries)
+                )
             )
-            newly, pending = self._split(outputs)
             delivered.update(newly)
             self.registry.emit(
                 "retry", tag,
@@ -335,8 +364,24 @@ class ResilientFabric:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _route_primary(
+        self, words: Sequence[Word], tag: Any
+    ) -> Tuple[List[Word], Sequence[int]]:
+        """Route one frame through the primary; engine-specific.
+
+        Returns the output words line by line and the address each
+        output line arrived with — what the output-side address check
+        reads.  On the object fabric that is the word's own address.
+        """
+        outputs = self.pipeline.route_batch(words, tag=tag)
+        return outputs, [word.address for word in outputs]
+
+    def _backoff(self, cycles: int) -> None:
+        """Idle the primary before a retry; engine-specific."""
+        self.pipeline.idle(cycles)
+
     def _split(
-        self, outputs: Sequence[Word]
+        self, outputs: Sequence[Word], arrived: Sequence[int]
     ) -> Tuple[Dict[int, Word], List[Word]]:
         """Partition routed outputs into delivered-by-line and misrouted."""
         delivered: Dict[int, Word] = {}
@@ -344,7 +389,7 @@ class ResilientFabric:
         for line, word in enumerate(outputs):
             if word.payload is None:
                 continue  # filler from a repair pass
-            if word.address == line:
+            if arrived[line] == line:
                 delivered[line] = word
             else:
                 pending.append(word)
@@ -385,7 +430,7 @@ class ResilientFabric:
         """Hook between quarantine and failover; engine-specific.
 
         The object fabric's Benes spare recomputes Waksman's looping
-        algorithm per batch, so there is nothing to set up; the vector
+        algorithm per batch, so there is nothing to set up; the kernel
         fabric compiles its failover plan here.
         """
 
@@ -537,8 +582,7 @@ class CompiledBenesFailover:
     The object network stays on board as the verification oracle: the
     plan is validated at compile time on canonical probes, and every
     ``verify_every``-th served batch is cross-checked against a real
-    Benes route end to end — the same sampled-verification discipline
-    the vector planes apply to the primary path.
+    Benes route end to end.
     """
 
     def __init__(self, m: int, verify_every: int = 16) -> None:
@@ -612,32 +656,35 @@ class CompiledBenesFailover:
         return outputs, None
 
 
-class ResilientVectorFabric(ResilientFabric):
-    """The resilient control loop on the compiled vector engine.
+class ResilientBNBFabric(ResilientFabric):
+    """The resilient control loop on the compiled ``bnb`` kernel.
 
     Same ``submit`` / ``submit_words`` / ``check`` surface and the same
     :class:`~repro.service.registry.FaultEvent` /
     :class:`~repro.service.registry.HealthMonitor` registry wiring as
     :class:`ResilientFabric`, with the three hot paths swapped for
-    their vector forms:
+    their kernel forms:
 
-    * the primary plane is a
-      :class:`~repro.core.pipeline_fast.VectorPipelinedFabric`, whose
-      physical faults are a :class:`~repro.core.plan.FaultMask` applied
-      inside the gather kernels;
-    * BIST probes enter the pipeline back to back
-      (``P + m`` cycles instead of ``P * (m + 1)``) and their syndromes
-      decode from batched arrays;
+    * the primary routes each frame through
+      :func:`~repro.core.pipeline_fast.route_frame_arrivals` under
+      :attr:`fault_mask`, the :class:`~repro.core.plan.FaultMask` this
+      fabric owns: stuck switches are masked controls, and a dead
+      link's :data:`~repro.core.plan.DEAD_ADDRESS` reaches the address
+      check.  A combinational kernel holds nothing in flight, so retry
+      backoff is counted but idles nothing;
+    * the BIST pass routes every probe in one kernel window and decodes
+      the syndromes from the arrived-address matrix;
     * the Benes spare is a :class:`CompiledBenesFailover` plan,
       compiled once per localized fault set at quarantine time (the
       ``failover-plan`` event) and cross-checked on a sample of served
       batches.
     """
 
+    engine = "bnb"
+
     def __init__(
         self,
         m: int,
-        pipeline: Optional[VectorPipelinedFabric] = None,
         fault_mask: Optional[FaultMask] = None,
         spare: Optional[Any] = "benes",
         schedule: Optional[BISTSchedule] = None,
@@ -646,52 +693,63 @@ class ResilientVectorFabric(ResilientFabric):
         strict_localization: bool = False,
         spare_verify_every: int = 16,
     ) -> None:
-        if pipeline is None:
-            pipeline = VectorPipelinedFabric(
-                m, retain_delivered=False, fault_mask=fault_mask
+        if fault_mask is not None and fault_mask.m != m:
+            raise ValueError(
+                f"fault mask is for m={fault_mask.m}, fabric is m={m}"
             )
-        elif fault_mask is not None:
-            pipeline.set_fault_mask(fault_mask)
         if spare == "benes":
             spare = CompiledBenesFailover(m, verify_every=spare_verify_every)
-        super().__init__(
-            m,
-            pipeline=pipeline,
-            spare=spare,
-            schedule=schedule,
-            retry_budget=retry_budget,
-            backoff_base=backoff_base,
-            strict_localization=strict_localization,
+        self._init_service(
+            m, spare, schedule, retry_budget, backoff_base, strict_localization
         )
-        # The declarative stuck-fault list behind the pipeline's mask;
-        # live injection rebuilds the mask from the accumulated union.
-        mask = self.pipeline.fault_mask
-        self._injected_stuck = list(mask.stuck) if mask is not None else []
-        self._dead_links = list(mask.dead) if mask is not None else []
+        self.fault_mask = fault_mask
+        self._identity = np.arange(self.n, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Engine-specific hooks
     # ------------------------------------------------------------------
+    def _route_primary(
+        self, words: Sequence[Word], tag: Any
+    ) -> Tuple[List[Word], Sequence[int]]:
+        addresses = np.fromiter(
+            (word.address for word in words), dtype=np.int64, count=len(words)
+        )
+        if len(words) != self.n or not np.array_equal(
+            np.sort(addresses), self._identity
+        ):
+            raise NotAPermutationError(addresses.tolist())
+        sources, arrived = route_frame_arrivals(
+            self.m, addresses, mask=self.fault_mask
+        )
+        return (
+            [words[source] for source in sources.tolist()],
+            arrived.tolist(),
+        )
+
+    def _backoff(self, cycles: int) -> None:
+        pass
+
     def inject_stuck_control(
         self, coordinate: SwitchCoordinate, value: int
     ) -> None:
-        """Add one stuck fault to the live primary's mask (accumulative)."""
-        self._injected_stuck.append(
-            (
+        """Add one stuck fault to the primary's mask (accumulative)."""
+        mask = self.fault_mask
+        self.fault_mask = build_fault_mask(
+            self.m,
+            stuck=[
+                *(mask.stuck if mask is not None else ()),
                 (
-                    coordinate.main_stage,
-                    coordinate.nested,
-                    coordinate.nested_stage,
-                    coordinate.box,
-                    coordinate.switch,
+                    (
+                        coordinate.main_stage,
+                        coordinate.nested,
+                        coordinate.nested_stage,
+                        coordinate.box,
+                        coordinate.switch,
+                    ),
+                    int(value),
                 ),
-                int(value),
-            )
-        )
-        self.pipeline.set_fault_mask(
-            build_fault_mask(
-                self.m, stuck=self._injected_stuck, dead_links=self._dead_links
-            )
+            ],
+            dead_links=mask.dead if mask is not None else (),
         )
         self.registry.emit(
             "injection", None,
@@ -702,9 +760,18 @@ class ResilientVectorFabric(ResilientFabric):
         )
 
     def _probe_pass(self, tag: Any):
-        return self.schedule.run_pipelined(
-            self.pipeline, on_probe=self.probe_hook
+        sent = np.array(
+            [probe.addresses for probe in self.schedule.probes],
+            dtype=np.int64,
         )
+        _sources, arrived = route_frame_arrivals(
+            self.m, sent, mask=self.fault_mask
+        )
+        observations = observations_from_arrays(sent, arrived)
+        if self.probe_hook is not None:
+            for probe, observation in zip(self.schedule.probes, observations):
+                self.probe_hook(probe, observation)
+        return observations
 
     def _prepare_failover(self, result: LocalizationResult, tag: Any) -> None:
         if not isinstance(self.spare, CompiledBenesFailover):
@@ -729,8 +796,8 @@ class ResilientVectorFabric(ResilientFabric):
         arrived = np.fromiter(
             (word.address for word in outputs), dtype=np.int64, count=self.n
         )
-        if not np.array_equal(arrived, np.arange(self.n, dtype=np.int64)):
-            line = int(np.nonzero(arrived != np.arange(self.n))[0][0])
+        if not np.array_equal(arrived, self._identity):
+            line = int(np.nonzero(arrived != self._identity)[0][0])
             raise QuarantineExhaustedError(
                 f"spare plane misrouted a word addressed to "
                 f"{int(arrived[line])} onto line {line}"

@@ -54,7 +54,7 @@ class FaultEvent:
 
     ``kind`` is one of: ``detection``, ``retry``, ``bist``,
     ``localization``, ``cleared``, ``confirmation``, ``quarantine``,
-    ``failover``, ``failover-plan`` (a vector fabric compiled its spare
+    ``failover``, ``failover-plan`` (a kernel fabric compiled its spare
     routing plan), ``injection`` (an operator injected a fault into the
     live primary), ``delivery``.  ``data`` carries kind-specific fields
     (syndrome sizes, candidate counts, backoff cycles, ...).

@@ -128,10 +128,12 @@ class TestRouteBackend:
 
         parser = build_parser()
         for command in ("serve", "stats", "replay", "cluster"):
-            for engine in ("object", "vector") + tuple(backend_names()):
+            for engine in ("object",) + tuple(backend_names()):
                 args = parser.parse_args([command, "8", "--engine", engine])
                 assert args.engine == engine
-            for retired in ("batch", "auto", "warp", "krbenes", "bnb-object"):
+            for retired in (
+                "batch", "auto", "warp", "krbenes", "bnb-object", "vector"
+            ):
                 with pytest.raises(SystemExit):
                     parser.parse_args([command, "8", "--engine", retired])
 
@@ -191,6 +193,66 @@ class TestFaults:
         assert "confirmed : (0,0,1,1,1)/stuck-0" in out
         assert "quarantine" in out  # event log
 
+    def test_injected_fault_fails_over_on_the_bnb_kernel(self, capsys):
+        assert main(
+            ["faults", "8", "--engine", "bnb", "--stuck", "2,0,0,0,0"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "state     : quarantined" in out
+        assert "confirmed : (2,0,0,0,0)/stuck-1" in out
+        assert "failover-plan" in out  # the compiled spare's event
+
+    def test_connect_drill_quarantines_a_live_n32_plane(self, capsys):
+        """The live chaos drill against a resilient bnb gateway at
+        N=32: waves of N concurrent words fill whole frames, so the
+        injected switch is met, degrades deliveries and quarantines
+        its plane while every word is delivered."""
+        import asyncio
+        import threading
+
+        from repro.server import AsyncGateway, GatewayConfig, GatewayServer
+
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+
+        async def start():
+            gateway = await AsyncGateway(
+                GatewayConfig(m=5, planes=2, engine="bnb", resilient=True)
+            ).start()
+            return gateway, await GatewayServer(gateway).start()
+
+        async def stop(gateway, server):
+            await server.stop()
+            await gateway.stop()
+
+        gateway, server = asyncio.run_coroutine_threadsafe(
+            start(), loop
+        ).result(timeout=60)
+        try:
+            status = main(
+                [
+                    "faults", "--connect", f"127.0.0.1:{server.port}",
+                    "--stuck", "2,0,0,0,0", "--words", "200",
+                ]
+            )
+        finally:
+            asyncio.run_coroutine_threadsafe(
+                stop(gateway, server), loop
+            ).result(timeout=60)
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(timeout=10)
+            loop.close()
+        assert not thread.is_alive()
+        out = capsys.readouterr().out
+        assert status == 0, out
+        assert "traffic  : 200/200 delivered" in out
+        assert "service_state=quarantined" in out
+
+    def test_retired_vector_engine_is_refused(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["faults", "8", "--engine", "vector"])
+
     def test_bad_coordinate_format_exits_2(self, capsys):
         assert main(["faults", "8", "--stuck", "1,2,3"]) == 2
         assert "five comma-separated" in capsys.readouterr().err
@@ -238,25 +300,27 @@ class TestServe:
         assert stats["planes"][0]["kind"] == "ResilientPlane"
 
     def test_demo_vector_engine(self, capsys):
+        """The compiled (vector) bnb kernel serves windowed planes."""
         assert main(
-            ["serve", "8", "--demo", "40", "--engine", "vector", "--json"]
+            ["serve", "8", "--demo", "40", "--engine", "bnb", "--json"]
         ) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["delivered_words"] == 40
-        assert stats["planes"][0]["kind"] == "PipelinedPlane"
-        assert stats["planes"][0]["engine"] == "vector"
+        assert stats["planes"][0]["kind"] == "BackendPlane"
+        assert stats["planes"][0]["backend"] == "bnb"
 
     def test_demo_resilient_vector_composes(self, capsys):
+        """--resilient composes with the compiled bnb kernel."""
         assert main(
             [
                 "serve", "8", "--demo", "24",
-                "--resilient", "--engine", "vector", "--json",
+                "--resilient", "--engine", "bnb", "--json",
             ]
         ) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["delivered_words"] == 24
         assert stats["planes"][0]["kind"] == "ResilientPlane"
-        assert stats["planes"][0]["engine"] == "vector"
+        assert stats["planes"][0]["engine"] == "bnb"
 
     def test_serve_bad_size_exits_2(self, capsys):
         assert main(["serve", "12"]) == 2

@@ -88,60 +88,71 @@ def frame_schedules(draw):
     return m, schedule
 
 
+def _frame_words(tag, requests):
+    """A (partial, idle-filled) frame's words; filler carries no payload."""
+    from repro.core.traffic import complete_partial_permutation
+
+    full, is_real = complete_partial_permutation(requests)
+    return [
+        Word(address=address, payload=(tag, line) if is_real[line] else None)
+        for line, address in enumerate(full)
+    ]
+
+
+def _assert_kernel_matches_pipeline(m, obj, schedule, mask=None):
+    """Drive the object pipeline cycle by cycle; every frame it delivers
+    must equal the masked kernel's routing of that frame alone: the
+    same payload on every output line, carrying the address the kernel
+    reports arriving there.  Routing all frames as one batch must give
+    the same rows."""
+    from repro.core.pipeline_fast import route_frame_arrivals
+
+    offered = {}
+    delivered = []
+    for tag, requests in enumerate(schedule):
+        if requests is not None:
+            offered[tag] = _frame_words(tag, requests)
+            obj.offer_words(list(offered[tag]), tag=tag)
+        delivered.extend(obj.step())
+    delivered.extend(obj.drain())
+    assert [tag for tag, _ in delivered] == sorted(offered)
+    if not delivered:
+        return
+    frames = np.array(
+        [[w.address for w in offered[tag]] for tag, _ in delivered]
+    )
+    batch_sources, batch_arrived = route_frame_arrivals(m, frames, mask=mask)
+    for row, (tag, outputs) in enumerate(delivered):
+        words = offered[tag]
+        sources, arrived = route_frame_arrivals(m, frames[row], mask=mask)
+        assert [(w.address, w.payload) for w in outputs] == [
+            (address, words[source].payload)
+            for source, address in zip(sources.tolist(), arrived.tolist())
+        ]
+        assert np.array_equal(batch_sources[row], sources)
+        assert np.array_equal(batch_arrived[row], arrived)
+
+
 @settings(max_examples=60, deadline=None)
 @given(frame_schedules())
 def test_vector_pipeline_matches_object_pipeline(case):
-    """The compiled numpy engine and the object engine, driven with the
+    """The compiled bnb kernel and the object pipeline, driven with the
     identical sequence of (partial, idle-filled) frames and bubbles,
-    must produce identical per-cycle deliveries — tag, address and
-    payload order — and identical latency profiles."""
+    must deliver every frame identically — address and payload order."""
     from repro.core.pipeline import PipelinedBNBFabric
-    from repro.core.pipeline_fast import VectorPipelinedFabric
-    from repro.core.traffic import complete_partial_permutation
 
     m, schedule = case
-    obj = PipelinedBNBFabric(m)
-    vec = VectorPipelinedFabric(m)
-    for tag, requests in enumerate(schedule):
-        if requests is not None:
-            full, is_real = complete_partial_permutation(requests)
-            words = [
-                Word(
-                    address=address,
-                    payload=(tag, line) if is_real[line] else None,
-                )
-                for line, address in enumerate(full)
-            ]
-            obj.offer_words(list(words), tag=tag)
-            vec.offer_words(list(words), tag=tag)
-        done_obj = obj.step()
-        done_vec = vec.step()
-        assert [
-            (frame_tag, [(w.address, w.payload) for w in outputs])
-            for frame_tag, outputs in done_obj
-        ] == [
-            (frame_tag, [(w.address, w.payload) for w in outputs])
-            for frame_tag, outputs in done_vec
-        ]
-    drained_obj = obj.drain()
-    drained_vec = vec.drain()
-    assert [
-        (frame_tag, [(w.address, w.payload) for w in outputs])
-        for frame_tag, outputs in drained_obj
-    ] == [
-        (frame_tag, [(w.address, w.payload) for w in outputs])
-        for frame_tag, outputs in drained_vec
-    ]
-    assert obj.stats().latencies == vec.stats().latencies
+    _assert_kernel_matches_pipeline(m, PipelinedBNBFabric(m), schedule)
 
 
 @st.composite
 def faulted_frame_schedules(draw):
     """A fault set plus a driving schedule over the same fabric size.
 
-    Faults are 0-3 distinct stuck control bits; the schedule reuses the
-    partial/idle frame shape of :func:`frame_schedules` so faulty
-    fabrics are exercised under bubbles and half-empty frames too.
+    Faults are 0-3 distinct stuck control bits plus 0-2 dead links
+    (``(main stage, line)``); the schedule reuses the partial/idle
+    frame shape of :func:`frame_schedules` so faulty fabrics are
+    exercised under bubbles and half-empty frames too.
     """
     from repro.faults import enumerate_switch_coordinates
 
@@ -158,6 +169,13 @@ def faulted_frame_schedules(draw):
         )
     )
     faults = [(pick, draw(st.integers(0, 1))) for pick in picks]
+    dead_links = draw(
+        st.lists(
+            st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+            max_size=2,
+            unique=True,
+        )
+    )
     cycles = draw(st.integers(1, 8))
     schedule = []
     for _ in range(cycles):
@@ -171,66 +189,59 @@ def faulted_frame_schedules(draw):
         for line, dest in zip(lines, order):
             requests[line] = dest
         schedule.append(requests)
-    return m, faults, schedule
+    return m, faults, schedule, dead_links
 
 
 @settings(max_examples=40, deadline=None)
 @given(faulted_frame_schedules())
 def test_faulty_vector_pipeline_matches_faulty_object_pipeline(case):
-    """A fault set rendered as a vector FaultMask and as composed
-    object-model control overrides must corrupt identically: same
-    per-cycle deliveries under partial frames and idle bubbles."""
+    """A fault set rendered as a kernel FaultMask and as composed
+    object-model control overrides (plus dead links on both) must
+    corrupt identically, frame by frame, under partial frames and idle
+    bubbles."""
     from repro.core.pipeline import PipelinedBNBFabric
-    from repro.core.pipeline_fast import VectorPipelinedFabric
-    from repro.core.traffic import complete_partial_permutation
+    from repro.core.plan import DEAD_ADDRESS
     from repro.faults import fault_mask_for, stuck_override_set
 
-    m, faults, schedule = case
-    obj = PipelinedBNBFabric(m, control_override=stuck_override_set(faults))
-    vec = VectorPipelinedFabric(m, fault_mask=fault_mask_for(m, faults))
-    for tag, requests in enumerate(schedule):
-        if requests is not None:
-            full, is_real = complete_partial_permutation(requests)
-            words = [
-                Word(
-                    address=address,
-                    payload=(tag, line) if is_real[line] else None,
-                )
-                for line, address in enumerate(full)
-            ]
-            obj.offer_words(list(words), tag=tag)
-            vec.offer_words(list(words), tag=tag)
-        done_obj = obj.step()
-        done_vec = vec.step()
-        assert [
-            (frame_tag, [(w.address, w.payload) for w in outputs])
-            for frame_tag, outputs in done_obj
-        ] == [
-            (frame_tag, [(w.address, w.payload) for w in outputs])
-            for frame_tag, outputs in done_vec
-        ]
-    assert [
-        (frame_tag, [(w.address, w.payload) for w in outputs])
-        for frame_tag, outputs in obj.drain()
-    ] == [
-        (frame_tag, [(w.address, w.payload) for w in outputs])
-        for frame_tag, outputs in vec.drain()
-    ]
+    m, faults, schedule, dead_links = case
+    dead = set(dead_links)
+
+    class DeadLinkPipeline(PipelinedBNBFabric):
+        """The object pipeline with dead links: a word entering main
+        stage s on a dead line travels on with the all-ones
+        DEAD_ADDRESS, payload kept.  The override path routes with
+        balance checks off, so the clobbered frame still routes."""
+
+        def _route_stage(self, stage, words):
+            return super()._route_stage(
+                stage,
+                [
+                    Word(address=int(DEAD_ADDRESS), payload=word.payload)
+                    if (stage, line) in dead
+                    else word
+                    for line, word in enumerate(words)
+                ],
+            )
+
+    obj = DeadLinkPipeline(m, control_override=stuck_override_set(faults))
+    _assert_kernel_matches_pipeline(
+        m, obj, schedule, mask=fault_mask_for(m, faults, dead_links=dead_links)
+    )
 
 
 @settings(max_examples=15, deadline=None)
 @given(faulted_frame_schedules())
 def test_faulty_resilient_services_agree(case):
     """The whole robustness control loop, differentially: the object
-    ResilientFabric and the vector ResilientVectorFabric seeded with
-    the same fault set must agree on BIST syndromes, per-batch
+    ResilientFabric and the kernel ResilientBNBFabric seeded with the
+    same fault set must agree on BIST syndromes, per-batch
     delivery modes, the quarantine decision and the confirmed
     hypothesis class."""
     from repro.core.pipeline import PipelinedBNBFabric
     from repro.faults import fault_mask_for, stuck_override_set
-    from repro.service import ResilientFabric, ResilientVectorFabric
+    from repro.service import ResilientBNBFabric, ResilientFabric
 
-    m, faults, _ = case
+    m, faults, _, _ = case
     n = 1 << m
     obj = ResilientFabric(
         m,
@@ -238,7 +249,7 @@ def test_faulty_resilient_services_agree(case):
             m, control_override=stuck_override_set(faults)
         ),
     )
-    vec = ResilientVectorFabric(m, fault_mask=fault_mask_for(m, faults))
+    vec = ResilientBNBFabric(m, fault_mask=fault_mask_for(m, faults))
     syndromes = {"obj": [], "vec": []}
     obj.probe_hook = lambda probe, obs: syndromes["obj"].append(obs.syndrome)
     vec.probe_hook = lambda probe, obs: syndromes["vec"].append(obs.syndrome)

@@ -64,9 +64,9 @@ class TestCheckerParsing:
         ]
 
     def test_wrapped_inline_span_collapses(self):
-        text = "as in `repro serve N --engine\nvector` above"
+        text = "as in `repro serve N --engine\nbnb` above"
         [(_ctx, tail)] = check_docs.extract_invocations(text)
-        assert tail == "serve N --engine vector"
+        assert tail == "serve N --engine bnb"
 
     def test_token_cleaning(self):
         assert check_docs._clean_tokens(

@@ -185,14 +185,14 @@ M3_IDS = [case_id(case) for case in M3_CASES]
 
 @pytest.mark.parametrize("coordinate, value", M3_CASES, ids=M3_IDS)
 def test_vector_resilient_sweep_m3(coordinate, value):
-    """ISSUE acceptance sweep, re-run on the compiled engine: for every
-    single stuck-control fault at m=3 the vector resilient service
-    delivers 100% of every batch, quarantines the primary, and its
+    """The acceptance sweep, re-run on the compiled (vector) bnb kernel:
+    for every single stuck-control fault at m=3 the kernel resilient
+    service delivers 100% of every batch, quarantines the primary, and its
     confirmed hypothesis class contains the true fault."""
     from repro.faults import fault_mask_for
-    from repro.service import HealthState, ResilientVectorFabric
+    from repro.service import HealthState, ResilientBNBFabric
 
-    fabric = ResilientVectorFabric(
+    fabric = ResilientBNBFabric(
         3, fault_mask=fault_mask_for(3, [(coordinate, value)])
     )
     n = 8

@@ -1,12 +1,14 @@
-"""The vectorized pipelined fabric: same contract as the object engine."""
+"""The compiled bnb kernel: same deliveries as the object engine."""
 
 import numpy as np
 import pytest
 
-from repro.core import VectorPipelinedFabric, Word, route_frame_sources
+from repro.core import Word, route_frame_sources
 from repro.core.pipeline import PipelinedBNBFabric
+from repro.core.pipeline_fast import route_frame_arrivals, route_frame_batch
 from repro.exceptions import NotAPermutationError
 from repro.permutations import random_permutation
+from repro.service import ResilientBNBFabric
 
 
 def _words(pi, tag):
@@ -14,130 +16,58 @@ def _words(pi, tag):
 
 
 class TestBasicOperation:
-    def test_single_batch_latency(self):
-        """Fill latency is m + 1 cycles, exactly like the object engine."""
-        m = 4
-        fabric = VectorPipelinedFabric(m)
-        fabric.offer(random_permutation(1 << m, rng=0).to_list(), tag="a")
-        for cycle in range(m):
-            assert fabric.step() == []
-        completed = fabric.step()
-        assert [tag for tag, _ in completed] == ["a"]
-        assert fabric.stats().fill_latency == m + 1
-
     def test_delivery_sorted_with_payload_identity(self):
         m = 3
-        fabric = VectorPipelinedFabric(m)
+        fabric = ResilientBNBFabric(m)
         pi = random_permutation(1 << m, rng=3).to_list()
         words = _words(pi, "t")
-        outputs = fabric.route_batch(words, tag="t")
+        outputs = fabric.submit_words(words, tag="t").outputs
         assert [w.address for w in outputs] == list(range(1 << m))
         # The very objects offered come back, reordered — the serving
         # layer's boundary verification relies on `is` identity.
         for line, word in enumerate(outputs):
             assert word is words[pi.index(line)]
 
-    def test_steady_state_throughput(self):
-        m = 3
-        fabric = VectorPipelinedFabric(m)
-        for k in range(40):
-            fabric.offer(
-                random_permutation(1 << m, rng=k).to_list(), tag=k
-            )
-            fabric.step()
-        completed = fabric.drain()
-        stats = fabric.stats()
-        assert stats.accepted == stats.delivered == 40
-        assert fabric.delivered_count == 40
-        assert completed  # drain returned the tail
-
-    def test_bubbles_pass_through(self):
-        fabric = VectorPipelinedFabric(2)
-        fabric.offer([1, 0, 3, 2], tag="x")
-        fabric.step()
-        fabric.idle(5)  # bubbles must not disturb the in-flight batch
-        assert fabric.delivered_count == 1
-
 
 class TestSurfaceParity:
-    def test_try_offer_words_backpressure(self):
-        fabric = VectorPipelinedFabric(2)
-        words = _words([3, 1, 0, 2], "a")
-        assert fabric.can_accept
-        assert fabric.try_offer_words(words, tag="a")
-        assert not fabric.can_accept
-        assert not fabric.try_offer_words(_words([0, 1, 2, 3], "b"), tag="b")
-        with pytest.raises(ValueError):
-            fabric.offer_words(_words([0, 1, 2, 3], "c"), tag="c")
-
-    def test_try_offer_still_validates(self):
-        fabric = VectorPipelinedFabric(2)
-        with pytest.raises(NotAPermutationError):
-            fabric.try_offer_words(_words([0, 0, 1, 2], "bad"), tag="bad")
-
     def test_non_permutation_rejected(self):
-        fabric = VectorPipelinedFabric(2)
+        fabric = ResilientBNBFabric(2)
         with pytest.raises(NotAPermutationError):
-            fabric.offer([0, 0, 1, 2])
+            fabric.submit([0, 0, 1, 2])
         with pytest.raises(NotAPermutationError):
-            fabric.offer([0, 1, 2])  # short batch
+            fabric.submit([0, 1, 2])  # short batch
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            VectorPipelinedFabric(0)
-
-    def test_delivery_hooks_fire_in_order(self):
-        fabric = VectorPipelinedFabric(2)
-        seen = []
-        fabric.add_delivery_hook(lambda tag, outs: seen.append((tag, "h1")))
-        fabric.add_delivery_hook(lambda tag, outs: seen.append((tag, "h2")))
-        fabric.offer([1, 0, 3, 2], tag="a")
-        fabric.step()
-        fabric.offer([2, 3, 0, 1], tag="b")
-        fabric.drain()
-        assert seen == [("a", "h1"), ("a", "h2"), ("b", "h1"), ("b", "h2")]
-
-    def test_retain_delivered_false_bounds_memory(self):
-        fabric = VectorPipelinedFabric(2, retain_delivered=False)
-        for k in range(10):
-            fabric.offer([1, 0, 3, 2], tag=k)
-            fabric.step()
-        fabric.drain()
-        assert fabric.delivered_batches == []
-        assert fabric.delivered_count == 10
-
-    def test_route_batch_requires_idle_fabric(self):
-        fabric = VectorPipelinedFabric(2)
-        fabric.offer([0, 1, 2, 3], tag="in-flight")
-        fabric.step()
-        with pytest.raises(ValueError):
-            fabric.route_batch(_words([1, 0, 3, 2], "late"), tag="late")
+            ResilientBNBFabric(0)
 
 
 class TestEquivalence:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_matches_object_engine_cycle_for_cycle(self, m):
-        """Identical offer/step schedules produce identical per-cycle
-        deliveries, down to address and payload order."""
+        """Every frame the object pipeline delivers, on whatever cycle,
+        arrives in the kernel's output order, down to address and
+        payload."""
         n = 1 << m
         obj = PipelinedBNBFabric(m)
-        vec = VectorPipelinedFabric(m)
+        offered = {}
+        delivered = []
         for k in range(3 * m + 4):
             if k % 3 != 2:  # leave bubbles in the schedule
                 pi = random_permutation(n, rng=k).to_list()
-                obj.offer_words(_words(pi, k), tag=k)
-                vec.offer_words(_words(pi, k), tag=k)
-            done_obj = obj.step()
-            done_vec = vec.step()
-            assert [
-                (tag, [(w.address, w.payload) for w in outs])
-                for tag, outs in done_obj
-            ] == [
-                (tag, [(w.address, w.payload) for w in outs])
-                for tag, outs in done_vec
+                offered[k] = _words(pi, k)
+                obj.offer_words(offered[k], tag=k)
+            delivered.extend(obj.step())
+        delivered.extend(obj.drain())
+        assert sorted(tag for tag, _ in delivered) == sorted(offered)
+        for tag, outputs in delivered:
+            words = offered[tag]
+            sources = route_frame_sources(
+                m, np.array([w.address for w in words])
+            )
+            assert [(w.address, w.payload) for w in outputs] == [
+                (words[s].address, words[s].payload) for s in sources.tolist()
             ]
-        assert obj.drain() and vec.drain() or True  # both drain clean
-        assert obj.stats().latencies == vec.stats().latencies
 
 
 class TestRouteFrameSources:
@@ -151,3 +81,19 @@ class TestRouteFrameSources:
             assert [pi[source] for source in sources.tolist()] == list(
                 range(n)
             )
+
+
+class TestRouteFrameArrivals:
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_healthy_arrivals_are_the_identity(self, m):
+        n = 1 << m
+        frames = np.array(
+            [random_permutation(n, rng=seed).to_list() for seed in range(4)]
+        )
+        sources, arrived = route_frame_arrivals(m, frames)
+        assert np.array_equal(sources, route_frame_batch(m, frames))
+        assert np.array_equal(arrived, np.tile(np.arange(n), (4, 1)))
+        # A lone frame routes on the single-frame kernel, same answer.
+        one_sources, one_arrived = route_frame_arrivals(m, frames[0])
+        assert np.array_equal(one_sources, sources[0])
+        assert np.array_equal(one_arrived, arrived[0])

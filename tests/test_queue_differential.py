@@ -283,7 +283,7 @@ class Scenario:
 def scenarios(draw):
     m = draw(st.integers(1, 3))
     n = 1 << m
-    engine = draw(st.sampled_from(["bnb", "object", "vector"]))
+    engine = draw(st.sampled_from(["bnb", "object"]))
     tenants = draw(
         st.one_of(
             st.none(),

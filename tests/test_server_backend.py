@@ -41,10 +41,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="registered"):
             _config("warp-drive")
 
-    def test_backend_engines_have_no_resilient_variant(self):
-        for engine in ("bnb", "msorter"):
-            with pytest.raises(ValueError, match="no resilient variant"):
-                GatewayConfig(m=3, engine=engine, resilient=True)
+    def test_msorter_has_no_resilient_variant(self):
+        with pytest.raises(ValueError, match="no resilient variant"):
+            GatewayConfig(m=3, engine="msorter", resilient=True)
+        # The bnb kernel does: it runs the ResilientBNBFabric lifecycle.
+        assert GatewayConfig(m=3, engine="bnb", resilient=True).resilient
 
 
 class TestPinnedBackendServing:

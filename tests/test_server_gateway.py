@@ -24,7 +24,7 @@ from repro.server import (
     PipelinedPlane,
     ResilientPlane,
 )
-from repro.service import ResilientFabric, ResilientVectorFabric
+from repro.service import ResilientBNBFabric, ResilientFabric
 
 pytestmark = pytest.mark.asyncio_suite
 
@@ -74,14 +74,17 @@ class TestBasics:
         # Not engines: the batch plane is spelled "bnb", the backend
         # arena runs offline, never at construction, and krbenes /
         # bnb-object are analysis routers, not serving backends.
-        for retired in ("batch", "auto", "krbenes", "bnb-object"):
+        for retired in ("batch", "auto", "krbenes", "bnb-object", "vector"):
             with pytest.raises(ValueError):
                 GatewayConfig(m=3, engine=retired)
-        # The resilient wrapper is engine-agnostic: combining it with
-        # the vector engine builds ResilientVectorFabric planes.
-        assert GatewayConfig(m=3, resilient=True, engine="vector").engine == (
-            "vector"
-        )
+        # The resilient wrapper runs on the object model and the bnb
+        # kernel; the multiway sorter has no resilient variant.
+        for engine in ("object", "bnb"):
+            assert GatewayConfig(m=3, resilient=True, engine=engine).engine == (
+                engine
+            )
+        with pytest.raises(ValueError):
+            GatewayConfig(m=3, resilient=True, engine="msorter")
 
     def test_engine_selects_plane_kind(self, run_async):
         async def scenario(engine, resilient=False):
@@ -94,9 +97,6 @@ class TestBasics:
         assert run_async(scenario("object")) == (
             "PipelinedPlane", "object", None
         )
-        assert run_async(scenario("vector")) == (
-            "PipelinedPlane", "vector", None
-        )
         for name in backend_names():
             assert run_async(scenario(name)) == (
                 "BackendPlane", "backend", name
@@ -106,9 +106,9 @@ class TestBasics:
             "object",
             None,
         )
-        assert run_async(scenario("vector", resilient=True)) == (
+        assert run_async(scenario("bnb", resilient=True)) == (
             "ResilientPlane",
-            "vector",
+            "bnb",
             None,
         )
 
@@ -140,11 +140,11 @@ class TestConcurrentDelivery:
         assert stats["queues"]["max_depth"] <= 16
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ["object", "vector"])
+    @pytest.mark.parametrize("engine", ["object", "bnb"])
     def test_acceptance_1000_clients_m4(self, run_async, engine):
-        """ISSUE acceptance: 1000 concurrent clients at m=4, zero
+        """Acceptance: 1000 concurrent clients at m=4, zero
         misdelivered words, bounded queues under overload — on both
-        the reference object engine and the compiled vector engine."""
+        the reference object engine and the compiled bnb kernel."""
 
         async def client(gateway, rng, cid, receipts):
             for k in range(2):
@@ -183,7 +183,7 @@ class TestConcurrentDelivery:
         assert stats["latency_cycles"]["p99"] is not None
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ["object", "vector"])
+    @pytest.mark.parametrize("engine", ["object", "bnb"])
     def test_acceptance_1000_clients_resilient_faulted(
         self, run_async, engine
     ):
@@ -413,7 +413,7 @@ class TestPlaneFailure:
     def test_resilient_vector_plane_absorbs_fault_without_dying(
         self, run_async
     ):
-        """The vector twin of the test above: a ResilientVectorFabric
+        """The kernel twin of the test above: a ResilientBNBFabric
         plane seeded with a fault mask quarantines its compiled primary
         and keeps delivering via the compiled Benes spare."""
 
@@ -425,14 +425,14 @@ class TestPlaneFailure:
                 return ResilientPlane(
                     plane_id,
                     m,
-                    fabric=ResilientVectorFabric(m, fault_mask=mask),
+                    fabric=ResilientBNBFabric(m, fault_mask=mask),
                 )
-            return ResilientPlane(plane_id, m, fabric=ResilientVectorFabric(m))
+            return ResilientPlane(plane_id, m, fabric=ResilientBNBFabric(m))
 
         async def scenario():
             config = GatewayConfig(
                 m=3, planes=2, queue_capacity=16, resilient=True,
-                engine="vector",
+                engine="bnb",
             )
             rng = random.Random(17)
             async with AsyncGateway(config, plane_factory=factory) as gateway:
@@ -452,13 +452,13 @@ class TestPlaneFailure:
             receipt.payload == index for index, receipt in enumerate(receipts)
         )
         assert stats["planes"][0]["healthy"] is True
-        assert stats["planes"][0]["engine"] == "vector"
-        assert stats["planes"][1]["engine"] == "vector"
+        assert stats["planes"][0]["engine"] == "bnb"
+        assert stats["planes"][1]["engine"] == "bnb"
         assert stats["planes"][0]["service_state"] == "quarantined"
         modes = stats["delivery_modes"]
         assert modes.get("failover", 0) + modes.get("degraded", 0) > 0
 
-    @pytest.mark.parametrize("engine", ["object", "vector"])
+    @pytest.mark.parametrize("engine", ["object", "bnb"])
     def test_inject_fault_quarantines_live_plane(self, run_async, engine):
         """Operator fault injection through the gateway API: the target
         plane walks detection -> quarantine -> failover while every
@@ -490,6 +490,57 @@ class TestPlaneFailure:
         )
         assert stats["planes"][0]["service_state"] == "quarantined"
         assert stats["planes"][1]["service_state"] == "healthy"
+
+    @pytest.mark.parametrize("engine", ["object", "bnb"])
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_resilient_plane_survives_injected_fault_at_scale(
+        self, run_async, engine, m
+    ):
+        """Resilient planes start past N = 16 and ride out a live fault.
+
+        The relaxed BIST schedule of m >= 5 exposes (2,0,0,0,0)
+        stuck-1 (probe 4 at m=5, probe 3 at m=6), so the one plane
+        quarantines its primary mid-run and fails over; it is never
+        killed, and every word reaches its own sender."""
+        n = 1 << m
+        rng = random.Random(m)
+        destinations = [rng.randrange(n) for _ in range(2000)]
+
+        async def scenario():
+            config = GatewayConfig(
+                m=m, planes=1, queue_capacity=64, resilient=True,
+                engine=engine,
+            )
+            async with AsyncGateway(config) as gateway:
+
+                async def send(indices):
+                    return await asyncio.gather(
+                        *(
+                            gateway.send_with_retry(
+                                destinations[index], payload=index,
+                                attempts=256,
+                            )
+                            for index in indices
+                        )
+                    )
+
+                receipts = await send(range(500))
+                gateway.inject_fault(0, (2, 0, 0, 0, 0), 1)
+                receipts += await send(range(500, len(destinations)))
+                stats = gateway.stats()
+            return receipts, stats
+
+        receipts, stats = run_async(scenario())
+        assert [receipt.payload for receipt in receipts] == list(
+            range(len(destinations))
+        )
+        assert [receipt.destination for receipt in receipts] == destinations
+        assert stats["delivered_words"] == len(destinations)
+        plane = stats["planes"][0]
+        assert plane["healthy"] is True
+        assert plane["engine"] == engine
+        assert plane["service_state"] == "quarantined"
+        assert stats["delivery_modes"].get("failover", 0) > 0
 
     def test_inject_fault_rejects_bad_targets(self, run_async):
         async def scenario():

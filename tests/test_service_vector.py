@@ -1,11 +1,11 @@
-"""The fault-tolerant vector dataplane: masks, vector BIST, failover.
+"""The fault-tolerant vector dataplane: masks, kernel BIST, failover.
 
 Covers the fault-as-data model end to end: :class:`FaultMask`
 construction and validation, dead-link sentinel propagation through
-the compiled kernels, the batched (pipelined) BIST pass and its
-vectorized syndrome decoding, and :class:`ResilientVectorFabric` —
-the compiled twin of :class:`ResilientFabric` — including its
-compiled Benes failover plan.
+the compiled ``bnb`` kernel, the one-window BIST pass and its
+vectorized syndrome decoding, and :class:`ResilientBNBFabric` — the
+kernel twin of :class:`ResilientFabric` — including its compiled
+Benes failover plan.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import Word
 from repro.core.pipeline import PipelinedBNBFabric, stuck_control_override
-from repro.core.pipeline_fast import VectorPipelinedFabric
+from repro.core.pipeline_fast import route_frame_arrivals
 from repro.core.plan import DEAD_ADDRESS, FaultMask, build_fault_mask
 from repro.exceptions import FaultError, FaultServiceError
 from repro.faults import (
@@ -31,8 +31,8 @@ from repro.faults.localization import (
 from repro.service import (
     CompiledBenesFailover,
     HealthState,
+    ResilientBNBFabric,
     ResilientFabric,
-    ResilientVectorFabric,
 )
 
 
@@ -94,36 +94,29 @@ class TestFaultMask:
             build_fault_mask(3, dead_links=[(1, 64)])
 
     def test_mask_m_must_match_fabric(self):
-        mask = build_fault_mask(2)
         with pytest.raises(ValueError):
-            VectorPipelinedFabric(3, fault_mask=mask)
-        fabric = VectorPipelinedFabric(2)
-        with pytest.raises(ValueError):
-            fabric.set_fault_mask(build_fault_mask(3))
+            ResilientBNBFabric(3, fault_mask=build_fault_mask(2))
 
 
 class TestMaskedKernels:
     def test_stuck_mask_matches_object_override(self):
         coordinate = SwitchCoordinate(2, 0, 0, 0, 0)
         for value in (0, 1):
-            vec = VectorPipelinedFabric(
-                3, fault_mask=fault_mask_for(3, [(coordinate, value)])
-            )
             obj = PipelinedBNBFabric(
                 3,
                 control_override=stuck_control_override(2, 0, 0, 0, 0, value),
             )
             words = reversal_words(8)
-            vec.offer_words(list(words), tag=0)
-            obj.offer_words(list(words), tag=0)
-            done_vec = vec.drain()
-            done_obj = obj.drain()
+            sources, _arrived = route_frame_arrivals(
+                3,
+                np.array([[w.address for w in words]]),
+                mask=fault_mask_for(3, [(coordinate, value)]),
+            )
             assert [
-                [(w.address, w.payload) for w in outputs]
-                for _tag, outputs in done_vec
+                (words[s].address, words[s].payload)
+                for s in sources[0].tolist()
             ] == [
-                [(w.address, w.payload) for w in outputs]
-                for _tag, outputs in done_obj
+                (w.address, w.payload) for w in obj.route_batch(words)
             ]
 
     def test_dead_link_misdelivers_deterministically(self):
@@ -133,73 +126,55 @@ class TestMaskedKernels:
         # maximally distinguishable case) and the displacement is
         # visible to the output-side address check.
         mask = build_fault_mask(3, dead_links=[(1, 0)])
-        fabric = VectorPipelinedFabric(3, fault_mask=mask)
-        fabric.offer_words(identity_words(8), tag=0)
-        ((_tag, outputs),) = fabric.drain()
-        # No word is lost: the original objects come out, rearranged.
-        assert sorted(word.address for word in outputs) == list(range(8))
-        syndrome = [
-            line
-            for line, word in enumerate(outputs)
-            if word.address != line
-        ]
+        identity = np.arange(8).reshape(1, 8)
+        sources, arrived = route_frame_arrivals(3, identity, mask=mask)
+        # No word is lost: every input line comes out somewhere.
+        assert sorted(sources[0].tolist()) == list(range(8))
+        # The clobbered word arrives carrying the sentinel, and the
+        # rest of the syndrome is the displacement it caused.
+        assert DEAD_ADDRESS in arrived[0]
+        syndrome = np.flatnonzero(arrived[0] != np.arange(8)).tolist()
         assert syndrome  # the fault is visible
         # And deterministically so: the sentinel is data, not chance.
-        again = VectorPipelinedFabric(3, fault_mask=mask)
-        again.offer_words(identity_words(8), tag=0)
-        ((_tag2, outputs2),) = again.drain()
-        assert [w.address for w in outputs2] == [w.address for w in outputs]
-
-    def test_mask_swap_applies_to_next_stage(self):
-        fabric = VectorPipelinedFabric(3)
-        fabric.offer_words(identity_words(8), tag=0)
-        fabric.set_fault_mask(
-            fault_mask_for(3, [(SwitchCoordinate(2, 0, 0, 0, 0), 1)])
-        )
-        # The in-flight identity frame is immune to a stuck-at-1 only if
-        # its healthy controls already match; drain must still deliver 8
-        # words (possibly displaced) and the next frame sees the mask.
-        ((_tag, outputs),) = fabric.drain()
-        assert len(outputs) == 8
+        again_sources, again = route_frame_arrivals(3, identity, mask=mask)
+        assert np.array_equal(again, arrived)
+        assert np.array_equal(again_sources, sources)
 
 
 class TestPipelinedBIST:
+    """The kernel fabric routes the whole schedule in one window."""
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_sequential_run_on_faulty_fabric(self, m):
         schedule = shared_bist_schedule(m)
         faults = random_fault_set(m, 1, seed=7)
-        mask = fault_mask_for(m, faults)
 
         sequential = schedule.run(
             lambda words: PipelinedBNBFabric(
                 m, control_override=stuck_override_set(faults)
             ).route_batch(words)
         )
-        fabric = VectorPipelinedFabric(m, fault_mask=mask)
-        pipelined = schedule.run_pipelined(fabric)
-        assert [obs.syndrome for obs in pipelined] == [
+        fabric = ResilientBNBFabric(m, fault_mask=fault_mask_for(m, faults))
+        windowed = []
+        fabric.probe_hook = lambda probe, obs: windowed.append(obs)
+        fabric.check(tag="bist")
+        assert [obs.syndrome for obs in windowed] == [
             obs.syndrome for obs in sequential
         ]
-        assert [obs.arrived for obs in pipelined] == [
+        assert [obs.arrived for obs in windowed] == [
             obs.arrived for obs in sequential
         ]
-        # The fabric is idle again: the pass drained its own probes.
-        assert fabric.in_flight == 0
 
     def test_on_probe_fires_once_per_probe(self):
-        schedule = shared_bist_schedule(2)
+        fabric = ResilientBNBFabric(2)
         seen = []
-        schedule.run_pipelined(
-            VectorPipelinedFabric(2),
-            on_probe=lambda probe, obs: seen.append((probe.index, obs.clean)),
+        fabric.probe_hook = lambda probe, obs: seen.append(
+            (probe.index, obs.clean)
         )
-        assert seen == [(probe.index, True) for probe in schedule.probes]
-
-    def test_requires_idle_fabric(self):
-        fabric = VectorPipelinedFabric(2)
-        fabric.offer_words(identity_words(4), tag="busy")
-        with pytest.raises(FaultError):
-            shared_bist_schedule(2).run_pipelined(fabric)
+        fabric.check(tag="bist")
+        assert seen == [
+            (probe.index, True) for probe in fabric.schedule.probes
+        ]
 
 
 class TestVectorizedDecoding:
@@ -257,8 +232,10 @@ class TestCompiledBenesFailover:
 
 
 class TestResilientVectorFabric:
+    """The resilient lifecycle on the compiled (vector) bnb kernel."""
+
     def test_clean_traffic_stays_healthy(self):
-        fabric = ResilientVectorFabric(3)
+        fabric = ResilientBNBFabric(3)
         for index in range(3):
             result = fabric.submit(
                 [(line + index) % 8 for line in range(8)], tag=index
@@ -269,7 +246,7 @@ class TestResilientVectorFabric:
 
     def test_stuck_fault_walks_full_lifecycle(self):
         mask = fault_mask_for(3, [(SwitchCoordinate(2, 0, 0, 0, 0), 1)])
-        fabric = ResilientVectorFabric(3, fault_mask=mask)
+        fabric = ResilientBNBFabric(3, fault_mask=mask)
         permutation = list(reversed(range(8)))
         modes = [
             fabric.submit(permutation, tag=index).mode for index in range(4)
@@ -288,7 +265,7 @@ class TestResilientVectorFabric:
 
     def test_parity_with_object_service(self):
         coordinate = SwitchCoordinate(2, 0, 0, 0, 0)
-        vec = ResilientVectorFabric(
+        vec = ResilientBNBFabric(
             3, fault_mask=fault_mask_for(3, [(coordinate, 1)])
         )
         obj = ResilientFabric(
@@ -311,7 +288,7 @@ class TestResilientVectorFabric:
         )
 
     def test_live_injection_quarantines(self):
-        fabric = ResilientVectorFabric(3)
+        fabric = ResilientBNBFabric(3)
         permutation = list(reversed(range(8)))
         assert fabric.submit(permutation, tag="before").mode == "clean"
         fabric.inject_stuck_control(SwitchCoordinate(2, 0, 0, 0, 0), 1)
@@ -326,7 +303,7 @@ class TestResilientVectorFabric:
 
     def test_dead_link_quarantines_without_hypotheses(self):
         mask = build_fault_mask(3, dead_links=[(1, 3)])
-        fabric = ResilientVectorFabric(3, fault_mask=mask)
+        fabric = ResilientBNBFabric(3, fault_mask=mask)
         permutation = list(reversed(range(8)))
         for index in range(4):
             result = fabric.submit(permutation, tag=index)
@@ -336,9 +313,23 @@ class TestResilientVectorFabric:
         # must still quarantine and ride the spare rather than wedge.
         assert fabric.submit(permutation, tag="after").mode == "failover"
 
+    def test_dead_link_is_caught_even_when_the_word_lands_home(self):
+        # At (2, 1) the identity frame's word 1 crosses the dead link
+        # and still lands on output 1; only its arrived DEAD_ADDRESS
+        # gives it away, so the address check must read the arrivals.
+        mask = build_fault_mask(3, dead_links=[(2, 1)])
+        sources, arrived = route_frame_arrivals(3, np.arange(8), mask=mask)
+        assert sources.tolist() == list(range(8))
+        assert arrived[1] == DEAD_ADDRESS
+        fabric = ResilientBNBFabric(3, fault_mask=mask)
+        result = fabric.submit(list(range(8)), tag="home")
+        assert result.mode != "clean"
+        assert [w.address for w in result.outputs] == list(range(8))
+        assert fabric.counters.detections == 1
+
     def test_strict_localization_refuses_unexplained_faults(self):
         mask = build_fault_mask(3, dead_links=[(1, 3)])
-        fabric = ResilientVectorFabric(
+        fabric = ResilientBNBFabric(
             3, fault_mask=mask, strict_localization=True
         )
         with pytest.raises(FaultServiceError):
@@ -346,7 +337,8 @@ class TestResilientVectorFabric:
                 fabric.submit(list(reversed(range(8))), tag=index)
 
     def test_check_runs_pipelined_bist(self):
-        fabric = ResilientVectorFabric(3)
+        """A proactive check routes every probe through the kernel."""
+        fabric = ResilientBNBFabric(3)
         probes = []
         fabric.probe_hook = lambda probe, obs: probes.append(obs.clean)
         fabric.check(tag="proactive")
