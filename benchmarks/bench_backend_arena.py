@@ -8,7 +8,7 @@ crossbar oracle and then timed per ``(m, workload class)`` cell —
 throughput shape).  The winner of each cell is whatever the clock says
 on this machine; the acceptance bar is that the measurement *matters*:
 on at least two cells the winner must beat the slowest candidate by
->= 1.2x (bnb against msorter spreads 1.6-10.1x per cell on a 2-vCPU
+>= 1.2x (bnb against msorter spreads 1.0-8.2x per cell on a 2-vCPU
 container).
 
 ``BENCH_ARENA_QUICK=1`` (the CI smoke) trims the sweep to m in {3, 5}
@@ -17,11 +17,12 @@ and shortens the timing loops; the spread bar still applies.
 Findings (see ``benchmarks/out/backend_arena.json``):
 
 * the multiway sorter's handful of whole-array comparator passes win
-  both workloads at every measured m — sorting-by-destination costs
-  O(log^2 N) vectorized stages but each stage is one fancy-index pass;
-* the BNB kernel's ``m`` gather stages carry more per-call overhead,
-  which the batch form amortizes: its batch cells sit far closer to
-  msorter than its single-frame cells.
+  the single-frame cells at every measured m — sorting-by-destination
+  costs O(log^2 N) vectorized stages but each stage is one fancy-index
+  pass;
+* the packed BNB kernel's ``m(m+1)/2`` inner stages carry more
+  per-call overhead, which the batch form amortizes: its batch cells
+  come within 15% of msorter from m=5 up.
 
 The arena is offline: a deployment runs it (or ``repro route N
 --backend auto``) on its own host and pins the winner by name.

@@ -14,7 +14,7 @@ dataplane (``"bnb"``) and the multiway sorter (``"msorter"``).  The
 rival fabrics the paper argues against stay analysis routers
 (``repro verify --network benes``), not serving engines.
 
-Compilation cost (comparator stage indices, BNB gather plans) is
+Compilation cost (comparator stage indices, the BNB stage plan) is
 therefore paid once per process per size — the :func:`prewarm` hook
 lets the gateway pay it at boot instead of on the first served frame.
 """
@@ -84,7 +84,7 @@ def compiled_backend(name: str, m: int) -> RoutingBackend:
 
     Every plane, arena pass and CLI invocation of a given size shares
     one compiled engine, exactly like
-    :func:`repro.core.plan.compiled_plan` shares its index tables.
+    :func:`repro.core.plan.compiled_plan` shares its stage plan.
     """
     if m < 1:
         raise ValueError(f"a routing backend needs m >= 1, got {m}")

@@ -1,11 +1,12 @@
 """The BNB engine behind the :class:`RoutingBackend` protocol.
 
-``"bnb"`` is the compiled vector dataplane.  ``route_frame`` is
-:func:`~repro.core.pipeline_fast.route_frame_sources` (one frame, all
-``m`` main stages as numpy gathers) and ``route_frame_batch`` is
-:func:`~repro.core.pipeline_fast.route_frame_batch` (the frame-axis
-kernel behind the gateway's ``engine="bnb"``
-:class:`~repro.server.planes.BackendPlane`) — one protocol object.  The
+``"bnb"`` is the packed BNB kernel of :mod:`repro.core.pipeline_fast`.
+``route_frame`` is :func:`~repro.core.pipeline_fast.route_frame_sources`
+(a lone frame, routed as a batch of one) and ``route_frame_batch`` is
+:func:`~repro.core.pipeline_fast.route_frame_batch` (a whole window,
+behind the gateway's ``engine="bnb"``
+:class:`~repro.server.planes.BackendPlane`) — one kernel, one protocol
+object.  The
 only backend that supports fault masks: both methods take an optional
 ``mask`` and reproduce the faulty fabric's arrival order.  The object
 model (:meth:`~repro.core.bnb.BNBNetwork.route`) is the reference
@@ -32,7 +33,7 @@ class BNBVectorBackend:
     def __init__(self, m: int) -> None:
         self.m = m
         self.n = 1 << m
-        # Compile-once: the per-m gather plan both kernels run on.
+        # Compile-once: the per-m stage plan the kernel runs on.
         self.plan = compiled_plan(m)
 
     def route_frame(

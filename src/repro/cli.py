@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="I,L,J,BOX,SW",
         default=None,
         help="inject a stuck switch at this coordinate "
-        "(main stage, nested, nested stage, box, switch)",
+        "(main stage, nested, nested stage, box, switch); with --connect "
+        "the default is (2,0,0,0,0), its main stage clamped to m-1, a "
+        "switch the drill's traffic meets",
     )
     faults.add_argument(
         "--stuck-value", type=int, choices=(0, 1), default=1
@@ -681,7 +683,7 @@ def _faults_connect(args: argparse.Namespace) -> int:
             else:
                 from .faults import SwitchCoordinate
 
-                coordinate = SwitchCoordinate(m, 0, 0, 0, 0)
+                coordinate = SwitchCoordinate(min(2, m - 1), 0, 0, 0, 0)
             try:
                 injected = await client.inject(
                     args.plane,

@@ -14,9 +14,9 @@ Two implementations share this module:
 * :meth:`BNBNetwork.route` — the reference object model.  Accepts plain
   addresses or :class:`~repro.core.words.Word` instances with payloads,
   optionally records every splitter decision and per-packet path.
-* :meth:`BNBNetwork.route_fast` — a vectorized numpy implementation of
-  the same algorithm used by the throughput benchmarks.  Tests pin it
-  to the reference model.
+* :meth:`BNBNetwork.route_fast` — the same algorithm on the packed
+  numpy kernel of :mod:`repro.core.pipeline_fast`, which also serves
+  the ``bnb`` backend.  Tests pin it to the reference model.
 
 Structural accounting (switch slices, function nodes, critical-path
 delays) lives here too, since it follows directly from the
@@ -35,7 +35,8 @@ from ..bits import address_bit, require_power_of_two, unshuffle_index
 from ..exceptions import NotAPermutationError, RoutingError
 from ..permutations.permutation import Permutation
 from .bsn import BitSorterNetwork, BSNRecord
-from .plan import compiled_plan, stage_take_indices
+from .pipeline_fast import pack_frames, route_packed
+from .plan import compiled_plan
 from .routing import PacketPath, RouteStep
 from .words import Word
 
@@ -323,9 +324,9 @@ class BNBNetwork:
     def route_fast(self, addresses: "np.ndarray") -> "np.ndarray":
         """Vectorized routing of raw addresses; returns the output lines.
 
-        Same algorithm as :meth:`route`, expressed as whole-array
-        operations over the per-``m`` :func:`~repro.core.plan.compiled_plan`
-        index tables.  ``result[line] == line`` for every line when the
+        Same algorithm as :meth:`route`, run by the packed kernel
+        :func:`~repro.core.pipeline_fast.route_packed` (the one the
+        serving backend uses).  ``result[line] == line`` for every line when the
         input is a permutation; the function returns the array of
         addresses in output-line order so callers can assert that.
 
@@ -347,8 +348,7 @@ class BNBNetwork:
         if self.check_inputs:
             if not np.array_equal(np.sort(lines), plan.identity):
                 raise NotAPermutationError(lines.tolist())
-        for stage in plan.stages:
-            lines = lines[stage_take_indices(plan, stage, lines)]
+        lines = route_packed(self.m, pack_frames(self.m, lines)) >> 32
         if self.check_inputs and not np.array_equal(lines, plan.identity):
             line = int(np.argmin(lines == plan.identity))
             raise RoutingError(

@@ -1,70 +1,62 @@
-"""Compiled routing plans: precomputed index tables for the vector dataplane.
+"""Compiled routing plans, fault masks and the frozen arbiter tables.
 
 The BNB network's wiring is entirely static — only the splitter
-*controls* depend on the words in flight.  The object model nonetheless
-recomputes ``unshuffle_index`` per line per stage per cycle, which is
-exactly the kind of work a hardware fabric does zero of.  A
-:class:`CompiledPlan` hoists all of it out of the hot loop: for each
-main stage it precomputes, as numpy arrays,
+*controls* depend on the words in flight.  This module holds everything
+the packed kernel in :mod:`repro.core.pipeline_fast` needs besides the
+words themselves:
 
-* the **inner gathers** — the within-splitter-block unshuffle of every
-  nested-GBN stage, expressed as one full-width gather index so a stage
-  transition is a single fancy-indexing operation;
-* the **main-stage gather** — the ``U_{m-i}^m`` unshuffle following the
-  stage's nested networks;
-* the **nested-network line groupings** — which contiguous lines form
-  each NB(i, l), for boundary checks;
-* the **pair indices** — even/odd line index arrays the switch columns
-  pair up.
-
-Plans are cached per ``m`` (:func:`compiled_plan`), so every fabric,
-plane and worker process of a given size shares one set of tables.
-
-The two routing kernels live here too: :func:`vector_splitter_controls`
-(the log-depth XOR-up/flag-down arbiter pass over all boxes of a stage
-at once) and :func:`vector_apply_controls`.  They are the single vector
-implementation behind both the combinational
-:meth:`~repro.core.bnb.BNBNetwork.route_fast` and the ``bnb`` kernels
-in :mod:`repro.core.pipeline_fast`.
-
-Faults are data here, not control flow: a :class:`FaultMask` carries
-per-(main stage, inner stage) stuck-control override arrays plus
-per-stage dead-link flags, and :func:`stage_take_indices` applies them
-as one masked ``where`` over the freshly computed control column.
-Because the vector kernels re-decide every splitter from the addresses
-actually present on its inputs — exactly like the adaptive object model
-in :mod:`repro.faults.adaptive` — a masked vector pass reproduces
-:func:`~repro.faults.adaptive.route_with_stuck_switch` bit for bit
-(pinned exhaustively in the tests), so a faulty fabric is the same
-numpy gather pipeline plus a masked ``where``.  Dead links propagate as
-an int64 sentinel: :data:`DEAD_ADDRESS` is ``-1``, whose every address
-bit reads 1, so a word crossing a dead link keeps routing (as garbage)
-and keeps the sentinel through every later stage until the output-side
-address check flags it.
+* :class:`CompiledPlan` (cached per ``m`` by :func:`compiled_plan`):
+  per main stage, the address bit it decides on and the widths of its
+  nested-GBN inner stages.  No index arrays: the kernel's interstage
+  unshuffles are strided writes and reshapes, so the plan is a few
+  small tuples plus the identity line order.
+* The **arbiter tables**.  A function node of the arbiter (Fig. 5) is a
+  pure function of its input bits, so an 8-line tile of the arbiter
+  tree is a pure function of its 8 bits and the flag its root receives.
+  The tables map an 8-bit tile key (bit ``k`` is line ``k``'s slice
+  bit) to that tile's parity, its 4 switch controls and the 8 flags it
+  sends down — packed as int8 lanes of one int32 or int64 entry, so a
+  single ``take`` decides every switch of a stage.  They do not depend
+  on ``m``; they are derived once at import from the reference
+  :func:`vector_arbiter_flags` / :func:`vector_splitter_controls` (which
+  tests pin to the object :class:`~repro.core.splitter.Splitter` and
+  :class:`~repro.core.arbiter.Arbiter`) and frozen.
+* :class:`FaultMask`: physical faults as data.  Stuck switches become a
+  masked ``where`` over a stage's control column; dead links clobber
+  the address half of a packed word to :data:`DEAD_ADDRESS`, whose
+  every address bit reads 1, so a word crossing a dead link keeps
+  routing (as garbage) and keeps the sentinel until the output-side
+  address check flags it.  Because the kernel re-decides every splitter
+  from the addresses actually present on its inputs — exactly like the
+  adaptive object model in :mod:`repro.faults.adaptive` — a masked
+  pass reproduces :func:`~repro.faults.adaptive.route_with_stuck_switch`
+  bit for bit (pinned in the tests).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
-from ..bits import cached_shuffle_permutation
 from ..exceptions import FaultError
 
 __all__ = [
     "CompiledPlan",
     "DEAD_ADDRESS",
     "FaultMask",
+    "ROOT_CONTROLS",
+    "ROOT_FLAGS",
     "StagePlan",
-    "batch_stage_take_indices",
+    "TILE_CONTROLS",
+    "TILE_FLAGS",
+    "TILE_PARITY",
     "build_fault_mask",
     "compiled_plan",
-    "stage_take_indices",
+    "vector_arbiter_flags",
     "vector_splitter_controls",
-    "vector_apply_controls",
 ]
 
 #: The dead-link sentinel.  As an int64, ``(-1 >> shift) & 1 == 1`` for
@@ -75,21 +67,18 @@ DEAD_ADDRESS = np.int64(-1)
 
 @dataclasses.dataclass(frozen=True)
 class StagePlan:
-    """Precomputed index tables for one main stage of the BNB network.
+    """The static structure of one main stage of the BNB network.
 
-    ``inner_gathers[j]`` implements the interstage unshuffle after inner
-    (nested-GBN) stage ``j`` as a full-width gather: ``new = old[g]``.
-    The last inner stage has no trailing unshuffle (``None``), matching
-    the object model.  ``stage_gather`` is the main-network unshuffle
-    ``U_{m-i}^m`` following the stage (``None`` on the last main stage).
+    Main stage ``i`` runs ``2**i`` nested networks of ``2**block_exp``
+    lines side by side; its inner (nested-GBN) stage ``j`` is a column
+    of splitters ``inner_widths[j]`` lines wide, all deciding on address
+    bit ``shift``.
     """
 
     stage: int
     block_exp: int  # nested networks have size 2**block_exp
     shift: int  # address bit b^stage sits at this LSB-first position
     inner_widths: Tuple[int, ...]
-    inner_gathers: Tuple[Optional[np.ndarray], ...]
-    stage_gather: Optional[np.ndarray]
 
     @property
     def nested_count(self) -> int:
@@ -103,14 +92,7 @@ class CompiledPlan:
     m: int
     n: int
     stages: Tuple[StagePlan, ...]
-    #: ``line_groups[i]`` has shape ``(2**i, 2**(m-i))``: row ``l`` lists
-    #: the contiguous lines of nested network NB(i, l).
-    line_groups: Tuple[np.ndarray, ...]
-    #: Even/odd members of every switch pair (``pair_even[t]`` and
-    #: ``pair_odd[t]`` are the two lines of pair ``t``).
-    pair_even: np.ndarray
-    pair_odd: np.ndarray
-    #: ``identity[j] == j`` — the scratch index base for swap composition.
+    #: ``identity[j] == j``: the source half of a freshly packed frame.
     identity: np.ndarray
 
 
@@ -228,96 +210,43 @@ def build_fault_mask(
     )
 
 
-def _block_gather(n: int, width_exp: int) -> np.ndarray:
-    """Gather array applying the same unshuffle inside every width block.
-
-    The scatter form used by the object model is
-    ``new[U(x)] = old[x]`` within each block of ``2**width_exp`` lines;
-    the equivalent gather is ``new[x] = old[S(x)]`` with ``S`` the
-    shuffle (inverse) wiring.  Composed over all blocks of the full
-    ``n``-line column.
-    """
-    width = 1 << width_exp
-    inverse = np.fromiter(
-        cached_shuffle_permutation(width_exp, width_exp),
-        dtype=np.int64,
-        count=width,
-    )
-    bases = np.arange(0, n, width, dtype=np.int64)
-    return (bases[:, None] + inverse[None, :]).reshape(-1)
-
-
 @functools.lru_cache(maxsize=None)
 def compiled_plan(m: int) -> CompiledPlan:
     """Build (once per process per ``m``) the compiled routing plan."""
     if m < 1:
         raise ValueError(f"a routing plan needs m >= 1, got {m}")
     n = 1 << m
-    stages = []
-    for i in range(m):
-        block_exp = m - i
-        widths = tuple(1 << (block_exp - j) for j in range(block_exp))
-        gathers = tuple(
-            _block_gather(n, block_exp - j) if j < block_exp - 1 else None
-            for j in range(block_exp)
+    stages = tuple(
+        StagePlan(
+            stage=i,
+            block_exp=m - i,
+            shift=m - 1 - i,
+            inner_widths=tuple(1 << (m - i - j) for j in range(m - i)),
         )
-        stage_gather = _block_gather(n, block_exp) if i < m - 1 else None
-        stages.append(
-            StagePlan(
-                stage=i,
-                block_exp=block_exp,
-                shift=m - 1 - i,
-                inner_widths=widths,
-                inner_gathers=gathers,
-                stage_gather=stage_gather,
-            )
-        )
-    line_groups = tuple(
-        np.arange(n, dtype=np.int64).reshape(1 << i, 1 << (m - i))
         for i in range(m)
     )
-    plan = CompiledPlan(
-        m=m,
-        n=n,
-        stages=tuple(stages),
-        line_groups=line_groups,
-        pair_even=np.arange(0, n, 2, dtype=np.int64),
-        pair_odd=np.arange(1, n, 2, dtype=np.int64),
-        identity=np.arange(n, dtype=np.int64),
-    )
+    identity = np.arange(n, dtype=np.int64)
     # The plan is cached and shared by every fabric, plane and worker of
-    # this size; freeze the tables so no caller can corrupt the cache.
-    for stage in plan.stages:
-        for gather in stage.inner_gathers:
-            if gather is not None:
-                gather.flags.writeable = False
-        if stage.stage_gather is not None:
-            stage.stage_gather.flags.writeable = False
-    for group in plan.line_groups:
-        group.flags.writeable = False
-    for array in (plan.pair_even, plan.pair_odd, plan.identity):
-        array.flags.writeable = False
-    return plan
+    # this size; freeze it so no caller can corrupt the cache.
+    identity.flags.writeable = False
+    return CompiledPlan(m=m, n=n, stages=stages, identity=identity)
 
 
-def vector_splitter_controls(bits: np.ndarray) -> np.ndarray:
-    """Vectorized arbiter + switch-setting over blocks of bit rows.
+def vector_arbiter_flags(bits: np.ndarray) -> np.ndarray:
+    """Vectorized arbiter tree over blocks of bit rows.
 
-    *bits* has shape ``(blocks, width)``; returns controls of shape
-    ``(blocks, width // 2)``.  Mirrors :class:`~repro.core.arbiter.Arbiter`
-    exactly (tests enforce agreement element by element).
+    *bits* has shape ``(blocks, width)`` with ``width >= 2``; returns the
+    flag every input line receives, same shape.  The log-depth form of
+    :class:`~repro.core.arbiter.Arbiter`: an XOR-up pass, then a
+    flag-down pass in which the root echoes its own up-value.  (A
+    two-input tree is one function node; the splitter ``sp(1)`` does not
+    use it — its control is the upper input bit.)
     """
-    width = bits.shape[1]
-    if width == 2:
-        # sp(1): the upper input bit is the control.
-        return bits[:, 0:1].copy()
-    # Upward pass.
     ups = []
     current = bits
     while current.shape[1] > 1:
         current = current[:, 0::2] ^ current[:, 1::2]
         ups.append(current)
-    # Downward pass; the root echoes its own up-value as its parent flag.
     # All values are 0/1 ints, so the per-node selection "u == 0 picks
     # (0, 1), u == 1 echoes the parent flag" is pure bit arithmetic:
     # y1 = z & u, y2 = z | ~u — cheaper than the equivalent ``where``.
@@ -328,127 +257,63 @@ def vector_splitter_controls(bits: np.ndarray) -> np.ndarray:
         interleaved[:, 0::2] = z_down & u
         interleaved[:, 1::2] = z_down | (u ^ 1)
         z_down = interleaved
-    flags = z_down  # shape (blocks, width): one flag per input line
-    return bits[:, 0::2] ^ flags[:, 0::2]
+    return z_down
 
 
-def vector_apply_controls(
-    blocks: np.ndarray, controls: np.ndarray
-) -> np.ndarray:
-    """Apply pairwise exchange controls to blocks of lines."""
-    out = np.empty_like(blocks)
-    even = blocks[:, 0::2]
-    odd = blocks[:, 1::2]
-    exchange = controls.astype(bool)
-    out[:, 0::2] = np.where(exchange, odd, even)
-    out[:, 1::2] = np.where(exchange, even, odd)
-    return out
+def vector_splitter_controls(bits: np.ndarray) -> np.ndarray:
+    """Vectorized arbiter + switch-setting over blocks of bit rows.
 
-
-def stage_take_indices(
-    plan: CompiledPlan,
-    stage: StagePlan,
-    addresses: np.ndarray,
-    mask: Optional[FaultMask] = None,
-) -> np.ndarray:
-    """One main stage's full line permutation, as a gather index array.
-
-    Runs the stage's nested networks over *addresses* (the per-line
-    destination addresses at the stage's input) exactly as the hardware
-    would — all boxes of each inner stage decided at once by the
-    log-depth arbiter pass — and composes the resulting exchanges with
-    the precompiled unshuffle gathers.  The caller applies the returned
-    ``take`` to every per-line array it carries:
-    ``new_arr = arr[take]``.
-
-    With a :class:`FaultMask`, each inner stage's stuck switches hold
-    their forced value in place of the arbiter's decision — a single
-    masked ``where`` over the control column.  Downstream splitters
-    still re-decide from the addresses actually in front of them, so
-    the faulty vector pass matches the adaptive object model exactly.
-    (Dead-link clobbering happens at stage *input*, in the caller —
-    see :data:`DEAD_ADDRESS`.)
+    *bits* has shape ``(blocks, width)``; returns controls of shape
+    ``(blocks, width // 2)``.  Mirrors :class:`~repro.core.splitter.Splitter`
+    exactly (tests enforce agreement element by element).  The reference
+    the arbiter tables are derived from; the kernel itself reads the
+    tables.
     """
-    take = plan.identity
-    current = addresses
-    shift = stage.shift
-    for j, (width, gather) in enumerate(
-        zip(stage.inner_widths, stage.inner_gathers)
-    ):
-        blocks = current.reshape(-1, width)
-        bits = (blocks >> shift) & 1
-        controls = vector_splitter_controls(bits)
-        if mask is not None:
-            override = mask.overrides.get((stage.stage, j))
-            if override is not None:
-                forced, values = override
-                controls = np.where(forced, values, controls)
-        # One full-width "swap with partner" index per line...
-        exchange = np.repeat(controls.reshape(-1).astype(bool), 2)
-        swap = np.where(exchange, plan.identity ^ 1, plan.identity)
-        # ...composed with the (precompiled) interstage unshuffle.
-        step = swap if gather is None else swap[gather]
-        take = take[step]
-        current = current[step]
-    if stage.stage_gather is not None:
-        take = take[stage.stage_gather]
-    return take
+    if bits.shape[1] == 2:
+        # sp(1): the upper input bit is the control.
+        return bits[:, 0:1].copy()
+    return bits[:, 0::2] ^ vector_arbiter_flags(bits)[:, 0::2]
 
 
-def batch_stage_take_indices(
-    plan: CompiledPlan,
-    stage: StagePlan,
-    addresses: np.ndarray,
-    mask: Optional[FaultMask] = None,
-) -> np.ndarray:
-    """One main stage over a whole **batch** of frames at once.
+def _lanes(rows: np.ndarray, dtype: type) -> np.ndarray:
+    """Pack each row of int8 lanes into one *dtype* table entry, frozen."""
+    table = np.ascontiguousarray(rows, dtype=np.int8).view(dtype).reshape(-1)
+    table.flags.writeable = False
+    return table
 
-    The frame-axis form of :func:`stage_take_indices`: *addresses* has
-    shape ``(batch, n)`` — one row per independent frame — and the
-    returned ``take`` has the same shape, row ``b`` being the gather
-    index array for frame ``b``.  Every splitter column of every frame
-    is decided in one arbiter pass (the frames stack onto the block
-    axis, so the log-depth XOR-up/flag-down recursion is identical),
-    and the per-frame exchange/unshuffle compositions become
-    ``take_along_axis`` gathers with the frame axis leading.  A
-    :class:`FaultMask` broadcasts over the batch: the same physical
-    switch is stuck in every frame, exactly as hardware would be.
-    """
-    batch = addresses.shape[0]
-    # Row offsets turn per-frame gathers into one flat ``take`` over the
-    # ravelled batch — much cheaper than ``take_along_axis``, which
-    # rebuilds a full index grid on every call.
-    offsets = (np.arange(batch, dtype=np.int64) * plan.n)[:, None]
-    take: Optional[np.ndarray] = None
-    current = addresses
-    shift = stage.shift
-    for j, (width, gather) in enumerate(
-        zip(stage.inner_widths, stage.inner_gathers)
-    ):
-        # (batch * blocks, width): frames stack onto the block axis.
-        blocks = current.reshape(-1, width)
-        bits = (blocks >> shift) & 1
-        controls = vector_splitter_controls(bits)
-        if mask is not None:
-            override = mask.overrides.get((stage.stage, j))
-            if override is not None:
-                forced, values = override
-                per_frame = controls.reshape(batch, *forced.shape)
-                controls = np.where(
-                    forced[None, :, :], values[None, :, :], per_frame
-                )
-        # identity ^ control sends a line to its pair partner exactly
-        # when its splitter says exchange (controls are 0/1 ints).
-        swap = plan.identity ^ np.repeat(
-            controls.reshape(batch, -1), 2, axis=1
-        )
-        # gather is frame-independent wiring, so fancy-indexing the
-        # column axis applies it to every frame at once.
-        step = swap if gather is None else swap[:, gather]
-        flat = step + offsets
-        current = current.ravel().take(flat)
-        # First step composes with identity — the step IS the take.
-        take = step if take is None else take.ravel().take(flat)
-    if stage.stage_gather is not None:
-        take = take[:, stage.stage_gather]
-    return take
+
+def _build_tables() -> Tuple[np.ndarray, ...]:
+    # Row k holds the 8 bits of tile key k, line j's bit being key bit j.
+    keys = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(np.int8)
+    parity = np.bitwise_xor.reduce(keys, axis=1)
+    # To hand a tile's root the flag f, pair the tile with a sibling of
+    # parity 1 - f under a 16-line root.  Under an odd tile that root
+    # XORs to f: 1 echoes 1 down to the tile, 0 generates 0 for its
+    # upper child.  An even tile generates its own flags and ignores f.
+    sibling = np.zeros((2, 8), dtype=np.int8)
+    sibling[0, 0] = 1
+    pairs = np.concatenate(
+        [np.repeat(keys, 2, axis=0), np.tile(sibling, (256, 1))], axis=1
+    )  # row key << 1 | f
+    return (
+        _lanes(parity, np.int8),
+        _lanes(vector_splitter_controls(keys), np.int32),
+        _lanes(vector_arbiter_flags(keys), np.int64),
+        _lanes(vector_splitter_controls(pairs)[:, :4], np.int32),
+        _lanes(vector_arbiter_flags(pairs)[:, :8], np.int64),
+    )
+
+
+#: The arbiter tables, indexed by an 8-bit tile key (bit ``k`` is line
+#: ``k``'s slice bit).  ``TILE_PARITY[key]`` is the tile's XOR.
+#: ``ROOT_*[key]`` describe a tile that is a whole 8-line arbiter (its
+#: root echoes its parity); ``TILE_*[key << 1 | f]`` a tile whose root
+#: receives flag ``f`` from above.  ``*_CONTROLS`` entries are the 4
+#: switch controls of the tile as int8 lanes of an int32; ``*_FLAGS``
+#: entries the 8 flags it sends down, as int8 lanes of an int64.  A key
+#: whose upper bits are 0 describes a narrower arbiter padded with
+#: zero lines, which leaves its flags unchanged: the padding's subtree
+#: XORs to 0, so the root's echo and forwarding are the same.
+TILE_PARITY, ROOT_CONTROLS, ROOT_FLAGS, TILE_CONTROLS, TILE_FLAGS = (
+    _build_tables()
+)

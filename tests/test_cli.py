@@ -202,11 +202,15 @@ class TestFaults:
         assert "confirmed : (2,0,0,0,0)/stuck-1" in out
         assert "failover-plan" in out  # the compiled spare's event
 
-    def test_connect_drill_quarantines_a_live_n32_plane(self, capsys):
+    @pytest.mark.parametrize(
+        "stuck", [["--stuck", "2,0,0,0,0"], []], ids=["stuck", "default"]
+    )
+    def test_connect_drill_quarantines_a_live_n32_plane(self, capsys, stuck):
         """The live chaos drill against a resilient bnb gateway at
         N=32: waves of N concurrent words fill whole frames, so the
         injected switch is met, degrades deliveries and quarantines
-        its plane while every word is delivered."""
+        its plane while every word is delivered.  Without --stuck the
+        drill injects its in-range default, (2,0,0,0,0)."""
         import asyncio
         import threading
 
@@ -233,7 +237,7 @@ class TestFaults:
             status = main(
                 [
                     "faults", "--connect", f"127.0.0.1:{server.port}",
-                    "--stuck", "2,0,0,0,0", "--words", "200",
+                    *stuck, "--words", "200",
                 ]
             )
         finally:

@@ -12,13 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import Word, route_frame_sources
 from repro.core.pipeline import PipelinedBNBFabric
-from repro.core.pipeline_fast import route_frame_batch
-from repro.core.plan import (
-    batch_stage_take_indices,
-    build_fault_mask,
-    compiled_plan,
-    stage_take_indices,
-)
+from repro.core.pipeline_fast import pack_frames, route_frame_batch, route_packed
+from repro.core.plan import build_fault_mask
 from repro.permutations import random_permutation
 
 
@@ -120,14 +115,15 @@ class TestFaultyParity:
 
 class TestStageKernel:
     def test_batch_stage_take_matches_single_stage_take(self):
+        """After every main stage, each row of a routed stack equals
+        that frame routed alone: the frames never mix."""
         m = 4
-        plan = compiled_plan(m)
-        addresses = _frames(m, batch=6, seed=3)
-        for stage in plan.stages:
-            batched = batch_stage_take_indices(plan, stage, addresses)
-            for row in range(addresses.shape[0]):
-                single = stage_take_indices(plan, stage, addresses[row])
-                assert np.array_equal(batched[row], single), stage.stage
+        words = pack_frames(m, _frames(m, batch=6, seed=3))
+        for stages in range(1, m + 1):
+            batched = route_packed(m, words, stages=stages)
+            for row in range(words.shape[0]):
+                single = route_packed(m, words[row], stages=stages)
+                assert np.array_equal(batched[row], single), stages
 
 
 class TestValidation:
